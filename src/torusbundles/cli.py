@@ -111,7 +111,7 @@ def _load_real_structure(doc) -> RealStructureData:
             d1=tuple(block["d1"]),
             d2=tuple(block["d2"]),
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise InputError(f"invalid real structure: {exc}") from exc
 
 
@@ -128,23 +128,21 @@ def _load_system(doc) -> ConstraintSystem:
     """Constraint system from the 'system' block, or via the eigensplit."""
     if "system" in doc:
         block = doc["system"]
-        rows = {}
-        for key in ("l_pp", "l_pm", "l_mp", "l_mm"):
+        keys = ("l_pp", "l_pm", "l_mp", "l_mm")
+        for key in keys:
             if key not in block:
                 raise InputError(f"missing field 'system.{key}'")
-            rows[key] = [float(v) for v in block[key]]
-        m = int(block.get("m", len(rows["l_pp"])))
         try:
-            return ConstraintSystem.from_blocks(
-                m,
-                float(block.get("a_plus", 0.0)),
-                float(block.get("a_minus", 0.0)),
-                block.get("D", np.zeros((m, m))),
-                rows["l_pp"],
-                rows["l_pm"],
-                rows["l_mp"],
-                rows["l_mm"],
-            )
+            rows = [np.array(block[key], dtype=float) for key in keys]
+            m = int(block.get("m", len(rows[0])))
+            scalars = np.array([block.get("a_plus", 0.0), block.get("a_minus", 0.0)], dtype=float)
+            d_block = np.array(block.get("D", np.zeros((m, m))), dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"invalid system block: {exc}") from exc
+        if not all(np.isfinite(arr).all() for arr in (scalars, d_block, *rows)):
+            raise InputError("invalid system block: entries must be finite numbers")
+        try:
+            return ConstraintSystem.from_blocks(m, *scalars.tolist(), d_block, *rows)
         except (TypeError, ValueError) as exc:
             raise InputError(f"invalid system block: {exc}") from exc
     if "real_structure" in doc:

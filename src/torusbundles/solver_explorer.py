@@ -43,10 +43,33 @@ def _near_zero(x, scale=1.0):
     return abs(x) <= ZERO_TOL * max(1.0, scale)
 
 
+def _det2(mat) -> float:
+    """Closed-form determinant of a 1x1 or 2x2 matrix."""
+    v = np.ravel(mat).tolist()
+    return v[0] if len(v) == 1 else v[0] * v[3] - v[1] * v[2]
+
+
+def _inv2(mat) -> np.ndarray:
+    """Closed-form inverse of an invertible 2x2 matrix."""
+    (a, b), (c, d) = np.asarray(mat, dtype=float).tolist()
+    return np.array([[d, -b], [-c, a]]) / (a * d - b * c)
+
+
 def _bprime(d_block: np.ndarray, b_mat: np.ndarray) -> float:
     """Antisymmetric part (DB)_{12} - (DB)_{21} of the coupling product."""
     p = d_block @ b_mat
     return float(p[0, 1] - p[1, 0])
+
+
+def _bprime_row(d_block: np.ndarray) -> np.ndarray:
+    """b'(B) as a linear form on (b11, b12, b21, b22)."""
+    return np.array([-d_block[1, 0], d_block[0, 0], -d_block[1, 1], d_block[0, 1]])
+
+
+def _bprime_kernel(d_block: np.ndarray) -> np.ndarray:
+    """Orthonormal basis (4 x 3) of the kernel of b' in (b11, b12, b21, b22)."""
+    _, _, vt = np.linalg.svd(_bprime_row(d_block)[None, :])
+    return vt[1:].T
 
 
 # ---------------------------------------------------------------------------
@@ -60,7 +83,8 @@ class ConstraintSystem:
     a_plus and a_minus are the off-diagonal entries of the antisymmetric
     blocks on the +1 and -1 base eigenspaces (zero when m = 1), D is the
     mixed block, and the l_* rows are the four eigenblocks of the linear
-    part.  The open region is {b > 0, det B > 0}.
+    part.  The open region is {b > 0, det B > 0}.  The system keeps the
+    description `solve` computes for it, so treat the blocks as read-only.
     """
 
     m: int
@@ -72,6 +96,7 @@ class ConstraintSystem:
     l_pm: np.ndarray
     l_mp: np.ndarray
     l_mm: np.ndarray
+    _description: SolutionSetDescription | None = field(default=None, init=False, repr=False)
 
     @property
     def scale(self) -> float:
@@ -168,7 +193,7 @@ class ConstraintSystem:
 
     def in_region(self, x, margin=REGION_TOL) -> bool:
         b, b_mat = self.unpack(x)
-        return b > margin and np.linalg.det(b_mat) > margin
+        return b > margin and _det2(b_mat) > margin
 
     def equality_stack(self, x: np.ndarray) -> np.ndarray:
         """Cleared polynomial form of the equations, smooth on the region."""
@@ -177,7 +202,7 @@ class ConstraintSystem:
         eq2 = b * (self.l_mp @ b_mat) - self.l_pm
         parts = [eq1, eq2]
         if self.m == 2:
-            q = self.a_minus - self.a_plus * np.linalg.det(b_mat) + b * _bprime(self.D, b_mat)
+            q = self.a_minus - self.a_plus * _det2(b_mat) + b * _bprime(self.D, b_mat)
             parts.append(np.array([q]))
         return np.concatenate(parts)
 
@@ -308,29 +333,38 @@ def _empty(sys, label, constants, notes=()) -> SolutionSetDescription:
     )
 
 
-def _finish(sys, desc, seed=0, want=3) -> SolutionSetDescription:
-    """Attach deterministic verified witnesses to a nonempty description."""
+def _draw_witnesses(sys, desc, seed, want, tries) -> list:
+    """Up to `want` verified witnesses from at most `tries` seeded chart draws."""
     rng = np.random.default_rng(seed)
     found = []
-    for _ in range(400):
+    for _ in range(tries):
         if len(found) >= want:
             break
         cand = desc.draw(rng)
-        if cand is None:
-            continue
-        b, b_mat = cand
-        x = sys.pack(b, b_mat)
-        if not sys.in_region(x):
+        if cand is None or not sys.in_region(sys.pack(*cand)):
             continue
         try:
-            found.append(_make_witness(sys, b, b_mat, desc.case_label))
+            found.append(_make_witness(sys, *cand, desc.case_label))
         except ValueError:
-            log.debug("rejected witness draw at b=%s", b)
-    if not found:
-        raise RuntimeError(
-            f"case {desc.case_label} ({desc.kind}) produced no verifiable witness"
-        )
-    desc.witnesses = tuple(found)
+            log.debug("rejected witness draw at b=%s", cand[0])
+    return found
+
+
+def _nonempty(sys, label, kind, dim, b_free, constants, draw, notes=()):
+    """A nonempty description with three deterministic verified witnesses."""
+    desc = SolutionSetDescription(
+        case_label=label,
+        kind=kind,
+        dimension=dim,
+        b_free=b_free,
+        constants=constants,
+        notes=tuple(notes),
+        system=sys,
+        _draw=draw,
+    )
+    desc.witnesses = tuple(_draw_witnesses(sys, desc, 0, 3, 400))
+    if not desc.witnesses:
+        raise RuntimeError(f"case {label} ({kind}) produced no verifiable witness")
     return desc
 
 
@@ -362,12 +396,7 @@ def _restricted_signature(sys: ConstraintSystem):
     q = np.zeros((4, 4))
     q[0, 3] = q[3, 0] = 0.5
     q[1, 2] = q[2, 1] = -0.5
-    # coefficient row of b' in the same coordinates
-    d = sys.D
-    w = np.array([-d[1, 0], d[0, 0], -d[1, 1], d[0, 1]])
-    # orthonormal basis of the kernel of w
-    _, _, vt = np.linalg.svd(w[None, :])
-    kern = vt[1:].T
+    kern = _bprime_kernel(sys.D)
     restr = kern.T @ q @ kern
     eig = np.linalg.eigvalsh(restr)
     tol = 1e-12 * max(1.0, np.abs(eig).max())
@@ -399,12 +428,12 @@ def classify_case(sys: ConstraintSystem) -> CaseInfo:
         return CaseInfo("L.rowszero", consts)
     if not pp_zero and not mp_zero:
         rows = np.vstack([sys.l_pp, sys.l_mp])
-        det_rows = float(np.linalg.det(rows))
+        det_rows = _det2(rows)
         if not _near_zero(det_rows, sc * sc):
-            inv = np.linalg.inv(rows)
+            inv = _inv2(rows)
             m1 = inv @ np.vstack([-sys.l_mm, np.zeros(2)])
             m2 = inv @ np.vstack([np.zeros(2), sys.l_pm])
-            alpha = -float(np.linalg.det(np.vstack([sys.l_mm, sys.l_pm]))) / det_rows
+            alpha = -_det2(np.vstack([sys.l_mm, sys.l_pm])) / det_rows
             c1 = _bprime(sys.D, m1) - 0.0
             c0 = sys.a_minus - alpha * sys.a_plus + _bprime(sys.D, m2)
             consts.update(
@@ -464,23 +493,8 @@ def solve_kodaira(sys: ConstraintSystem) -> SolutionSetDescription:
     consts = {"l_pp": lpp, "l_pm": lpm, "l_mp": lmp, "l_mm": lmm}
     label = "kodaira"
 
-    def desc(kind, dim, draw, extra=None, notes=()):
-        c = dict(consts)
-        if extra:
-            c.update(extra)
-        return _finish(
-            sys,
-            SolutionSetDescription(
-                case_label=label,
-                kind=kind,
-                dimension=dim,
-                b_free=False,
-                constants=c,
-                notes=tuple(notes),
-                system=sys,
-                _draw=draw,
-            ),
-        )
+    def desc(kind, dim, draw, extra=None):
+        return _nonempty(sys, label, kind, dim, False, {**consts, **(extra or {})}, draw)
 
     if _near_zero(lmm, sc):
         if not _near_zero(lpp, sc):
@@ -494,9 +508,11 @@ def solve_kodaira(sys: ConstraintSystem) -> SolutionSetDescription:
         kappa = lpm / lmp
         if kappa <= 0 or _near_zero(kappa, sc):
             return _empty(sys, label, consts, ["required product b1 b2 is not positive"])
+        # b1 = kappa / b2 and b2 share the box only while kappa <= _BOX^2
+        box = _BOX if kappa <= _BOX * _BOX else 2.0 * math.sqrt(kappa)
 
         def draw_hyp(rng):
-            b2 = rng.uniform(max(0.05, kappa / _BOX), _BOX)
+            b2 = rng.uniform(max(0.05, kappa / box), box)
             return kappa / b2, [[b2]]
 
         return desc("hyperbola", 1, draw_hyp, {"kappa": kappa})
@@ -551,6 +567,19 @@ def _complement_row(row: np.ndarray) -> np.ndarray:
     return np.array([-row[1], row[0]])
 
 
+def _halfplane_draw(assemble, row, draw_b):
+    """Chart draw of b = draw_b(rng) and s with row . s > 0, assembled to (b, B)."""
+
+    def draw(rng):
+        b = draw_b(rng)
+        s = rng.uniform(-_BOX, _BOX, 2)
+        if float(row @ s) <= REGION_TOL:
+            return None
+        return assemble(b, s[0], s[1])
+
+    return draw
+
+
 def solve_threefold(sys: ConstraintSystem) -> SolutionSetDescription:
     """Describe the solution family {(b, B)} for a 2-dim base, d = 1."""
     if sys.m != 2:
@@ -561,30 +590,18 @@ def solve_threefold(sys: ConstraintSystem) -> SolutionSetDescription:
     sc = sys.scale
 
     def desc(kind, dim, b_free, draw, notes=()):
-        return _finish(
-            sys,
-            SolutionSetDescription(
-                case_label=label,
-                kind=kind,
-                dimension=dim,
-                b_free=b_free,
-                constants=c,
-                notes=tuple(notes),
-                system=sys,
-                _draw=draw,
-            ),
-        )
+        return _nonempty(sys, label, kind, dim, b_free, c, draw, notes)
 
     def draw_b(rng):
         return rng.uniform(0.05, _BOX)
 
     if label == "L0.D0":
-        if _near_zero(a_p, sc):
-            if _near_zero(a_m, sc):
+        if a_p == 0:
+            if a_m == 0:
 
                 def draw_region(rng):
                     b_mat = rng.uniform(-_BOX, _BOX, (2, 2))
-                    if np.linalg.det(b_mat) <= REGION_TOL:
+                    if _det2(b_mat) <= REGION_TOL:
                         return None
                     return draw_b(rng), b_mat
 
@@ -597,7 +614,7 @@ def solve_threefold(sys: ConstraintSystem) -> SolutionSetDescription:
 
         def draw_quadric(rng):
             b_mat = rng.uniform(-_BOX, _BOX, (2, 2))
-            det = np.linalg.det(b_mat)
+            det = _det2(b_mat)
             if det <= 1e-6:
                 return None
             return draw_b(rng), b_mat * math.sqrt(a / det)
@@ -605,21 +622,18 @@ def solve_threefold(sys: ConstraintSystem) -> SolutionSetDescription:
         return desc("quadric", 3, True, draw_quadric)
 
     if label == "L0.Dnz":
-        if _near_zero(a_p, sc) and _near_zero(a_m, sc):
+        if a_p == 0 and a_m == 0:
             pos, _neg = c["restricted_signature"]
             if pos == 0:
                 return _empty(
                     sys, label, c, ["determinant is nonpositive on the coupling stratum"]
                 )
-            d = sys.D
-            w = np.array([-d[1, 0], d[0, 0], -d[1, 1], d[0, 1]])
-            _, _, vt = np.linalg.svd(w[None, :])
-            kern = vt[1:].T
+            kern = _bprime_kernel(sys.D)
 
             def draw_stratum(rng):
                 v = kern @ rng.uniform(-_BOX, _BOX, 3)
                 b_mat = v.reshape(2, 2)
-                if np.linalg.det(b_mat) <= REGION_TOL:
+                if _det2(b_mat) <= REGION_TOL:
                     return None
                 return draw_b(rng), b_mat
 
@@ -632,7 +646,7 @@ def solve_threefold(sys: ConstraintSystem) -> SolutionSetDescription:
 
         def draw_graph(rng):
             b_mat = rng.uniform(-_BOX, _BOX, (2, 2))
-            det = np.linalg.det(b_mat)
+            det = _det2(b_mat)
             bp = _bprime(sys.D, b_mat)
             if det <= REGION_TOL or abs(bp) < 1e-8:
                 return None
@@ -691,7 +705,7 @@ def solve_threefold(sys: ConstraintSystem) -> SolutionSetDescription:
         # det(B0 + normal s^T) = det B0 + s . adj(B0) normal, linear in s
         adj = np.array([[b0[1, 1], -b0[0, 1]], [-b0[1, 0], b0[0, 0]]])
         det_lin = adj @ normal
-        det_const = float(np.linalg.det(b0))
+        det_const = _det2(b0)
         dn = sys.D @ normal
         bp_lin = np.array([-dn[1], dn[0]])  # b'(B0 + n s^T) = bp_const + bp_lin . s
         bp_const = _bprime(sys.D, b0)
@@ -748,7 +762,7 @@ def solve_threefold(sys: ConstraintSystem) -> SolutionSetDescription:
 
         rho_row = np.array([l0, l2])
         tau_row = np.array([a0, a2])
-        jac = float(np.linalg.det(np.vstack([tau_row, rho_row])))
+        jac = _det2(np.vstack([tau_row, rho_row]))
         c["tau_rho_det"] = jac
         if not _near_zero(jac, sc * sc):
 
@@ -762,29 +776,15 @@ def solve_threefold(sys: ConstraintSystem) -> SolutionSetDescription:
             return desc("quadrant", 1, True, draw_quadrant)
         if _near_zero(np.abs(tau_row).max(), sc):
             if _near_zero(c1, sc * sc):
-                if _near_zero(a_m, sc):
-
-                    def draw_free(rng):
-                        b = draw_b(rng)
-                        s = rng.uniform(-_BOX, _BOX, 2)
-                        if float(rho_row @ s) <= REGION_TOL:
-                            return None
-                        return assemble(b, s[0], s[1])
-
-                    return desc("halfplane", 2, True, draw_free)
+                if a_m == 0:
+                    return desc("halfplane", 2, True, _halfplane_draw(assemble, rho_row, draw_b))
                 return _empty(sys, label, c, ["constant equation a_minus = 0 fails"])
             bsq = -a_m / c1
             if bsq <= 0:
                 return _empty(sys, label, c, ["quadratic a_minus + c1 b^2 = 0 has no positive root"])
             bhat = math.sqrt(bsq)
             c["bhat"] = bhat
-
-            def draw_plane(rng):
-                s = rng.uniform(-_BOX, _BOX, 2)
-                if float(rho_row @ s) <= REGION_TOL:
-                    return None
-                return assemble(bhat, s[0], s[1])
-
+            draw_plane = _halfplane_draw(assemble, rho_row, lambda rng: bhat)
             return desc("halfplane", 2, False, draw_plane)
         # tau = cf * rho with cf != 0
         i = int(np.argmax(np.abs(rho_row)))
@@ -836,32 +836,18 @@ def solve_threefold(sys: ConstraintSystem) -> SolutionSetDescription:
     zdir = _complement_row(x_row)
     if _near_zero(k, sc):
         if _near_zero(cf, sc):
-            if _near_zero(a_p, sc):
-
-                def draw_free2(rng):
-                    b = draw_b(rng)
-                    s = rng.uniform(-_BOX, _BOX, 2)
-                    if float(x_row @ s) <= REGION_TOL:
-                        return None
-                    return assemble_pp(b, s[0], s[1])
-
-                return desc("halfplane", 2, True, draw_free2)
+            if a_p == 0:
+                return desc("halfplane", 2, True, _halfplane_draw(assemble_pp, x_row, draw_b))
             return _empty(sys, label, c, ["equation c b^2 = a_plus has no root with c = 0"])
         bsq = a_p / cf
         if bsq <= 0:
             return _empty(sys, label, c, ["equation c b^2 = a_plus has no positive root"])
         bhat = math.sqrt(bsq)
         c["bhat"] = bhat
-
-        def draw_plane2(rng):
-            s = rng.uniform(-_BOX, _BOX, 2)
-            if float(x_row @ s) <= REGION_TOL:
-                return None
-            return assemble_pp(bhat, s[0], s[1])
-
-        return desc("halfplane", 2, False, draw_plane2)
+        draw_plane = _halfplane_draw(assemble_pp, x_row, lambda rng: bhat)
+        return desc("halfplane", 2, False, draw_plane)
     if _near_zero(cf, sc):
-        if _near_zero(a_p, sc) or k / a_p <= 0:
+        if a_p == 0 or k / a_p <= 0:
             return _empty(sys, label, c, ["forced x = b k / a_plus is not positive"])
 
         def draw_ray2(rng):
@@ -890,8 +876,10 @@ def solve_threefold(sys: ConstraintSystem) -> SolutionSetDescription:
 
 
 def solve(sys: ConstraintSystem) -> SolutionSetDescription:
-    """Dispatch on the base eigenspace dimension."""
-    return solve_kodaira(sys) if sys.m == 1 else solve_threefold(sys)
+    """Dispatch on the base eigenspace dimension, once per system."""
+    if sys._description is None:
+        sys._description = solve_kodaira(sys) if sys.m == 1 else solve_threefold(sys)
+    return sys._description
 
 
 # ---------------------------------------------------------------------------
@@ -902,32 +890,12 @@ def sample_solutions(sys: ConstraintSystem, count: int, seed: int = 0) -> list:
     """Deterministic verified samples from the solution family.
 
     Raises ValueError when the family is empty; the returned list may be
-    shorter than requested (rejections are logged at DEBUG level).
+    shorter than requested (rejected witnesses are logged at DEBUG level).
     """
     desc = solve(sys)
     if desc.is_empty:
         raise ValueError("cannot sample from an empty solution family")
-    rng = np.random.default_rng(seed)
-    out = []
-    rejected = 0
-    for _ in range(max(50, 60 * count)):
-        if len(out) >= count:
-            break
-        cand = desc.draw(rng)
-        if cand is None:
-            rejected += 1
-            continue
-        b, b_mat = cand
-        if not sys.in_region(sys.pack(b, b_mat)):
-            rejected += 1
-            continue
-        try:
-            out.append(_make_witness(sys, b, b_mat, desc.case_label))
-        except ValueError:
-            rejected += 1
-    if rejected:
-        log.debug("sample_solutions rejected %d draws", rejected)
-    return out
+    return _draw_witnesses(sys, desc, seed, count, max(50, 60 * count))
 
 
 # ---------------------------------------------------------------------------
@@ -1052,17 +1020,26 @@ def _walk_curve(sys: ConstraintSystem, curve):
     return points, points
 
 
-def _linear_curve(xp: np.ndarray, xq: np.ndarray):
-    return lambda t: (1.0 - t) * xp + t * xq
+class _LinearCurve:
+    """Straight leg (1 - t) x0 + t x1, which keeps its endpoints."""
+
+    __slots__ = ("x0", "x1")
+
+    def __init__(self, x0: np.ndarray, x1: np.ndarray):
+        self.x0, self.x1 = x0, x1
+
+    def __call__(self, t):
+        return (1.0 - t) * self.x0 + t * self.x1
 
 
 def _det_along_line(bp_mat: np.ndarray, bq_mat: np.ndarray):
     """Coefficients of det((1-t) P + t Q) as c0 + c1 t + c2 t^2."""
-    diff = bq_mat - bp_mat
-    c0 = float(np.linalg.det(bp_mat))
-    c2 = float(np.linalg.det(diff))
-    adj = np.array([[bp_mat[1, 1], -bp_mat[0, 1]], [-bp_mat[1, 0], bp_mat[0, 0]]])
-    c1 = float(np.trace(adj @ diff))
+    p00, p01, p10, p11 = np.ravel(bp_mat).tolist()
+    q00, q01, q10, q11 = np.ravel(bq_mat).tolist()
+    d00, d01, d10, d11 = q00 - p00, q01 - p01, q10 - p10, q11 - p11
+    c0 = p00 * p11 - p01 * p10
+    c1 = p11 * d00 - p01 * d10 - p10 * d01 + p00 * d11
+    c2 = d00 * d11 - d01 * d10
     return c0, c1, c2
 
 
@@ -1073,11 +1050,6 @@ def _quad_min01(c0, c1, c2) -> float:
         if 0.0 < t_star < 1.0:
             vals.append(c0 + c1 * t_star + c2 * t_star * t_star)
     return min(vals)
-
-
-def _bprime_row(d_block: np.ndarray) -> np.ndarray:
-    """b'(B) as a linear form on (b11, b12, b21, b22)."""
-    return np.array([-d_block[1, 0], d_block[0, 0], -d_block[1, 1], d_block[0, 1]])
 
 
 _SAFE = 1e-6
@@ -1099,34 +1071,58 @@ def _graph_curve(sys: ConstraintSystem, xp, xq, b_end_p, b_end_q):
         if abs(bp_val) < 1e-9:
             b = b_end_p if t < 0.5 else b_end_q
         else:
-            b = (sys.a_plus * np.linalg.det(b_mat) - sys.a_minus) / bp_val
+            b = (sys.a_plus * _det2(b_mat) - sys.a_minus) / bp_val
         return sys.pack(b, b_mat)
 
     return curve
 
 
 def _graph_leg_ok(sys: ConstraintSystem, curve) -> bool:
+    """Whether b and det B stay above _SAFE along a leg of a two-dim base.
+
+    A straight leg is decided exactly: b is linear in t and det B is the
+    quadratic _det_along_line, so both minima over [0, 1] are closed-form.
+    The rule is stricter than sampling, which can miss a dip between
+    samples.  Other legs are checked at 33 points.
+    """
+    if isinstance(curve, _LinearCurve):
+        b0, m0 = sys.unpack(curve.x0)
+        b1, m1 = sys.unpack(curve.x1)
+        # c0 is det(m0) as the sampler computes it; c0 + c1 + c2 rounds apart from det(m1)
+        det_min = min(_quad_min01(*_det_along_line(m0, m1)), _det2(m1))
+        return min(b0, b1) > _SAFE and det_min > _SAFE
     for t in np.linspace(0.0, 1.0, 33):
         x = np.asarray(curve(t), dtype=float)
         b, b_mat = sys.unpack(x)
-        if b <= _SAFE or np.linalg.det(b_mat) <= _SAFE:
+        if b <= _SAFE or _det2(b_mat) <= _SAFE:
             return False
     return True
 
 
+def _checked_leg(sys: ConstraintSystem, verdicts: dict, make_leg, x0, x1):
+    """make_leg(x0, x1) if _graph_leg_ok accepts it, else None.
+
+    verdicts is the caller's table from (start, end) coordinates to the
+    outcome, so each leg is built and checked at most once per table.
+    """
+    key = (x0.tobytes(), x1.tobytes())
+    if key not in verdicts:
+        leg = make_leg(x0, x1)
+        verdicts[key] = leg if _graph_leg_ok(sys, leg) else None
+    return verdicts[key]
+
+
 def _stratum_candidates(sys: ConstraintSystem, count=12):
     """Points of {b' = 0, a_plus det B = a_minus, det B > 0} (B parts)."""
-    row = _bprime_row(sys.D)
-    if np.abs(row).max() == 0:
+    if np.abs(_bprime_row(sys.D)).max() == 0:
         return []
-    _, _, vt = np.linalg.svd(row[None, :])
-    kern = vt[1:].T
+    kern = _bprime_kernel(sys.D)
     target = None
-    if not _near_zero(sys.a_plus, sys.scale):
+    if sys.a_plus != 0:
         target = sys.a_minus / sys.a_plus
         if target <= 0:
             return []
-    elif not _near_zero(sys.a_minus, sys.scale):
+    elif sys.a_minus != 0:
         return []
     rng = np.random.default_rng(7)
     out = []
@@ -1134,7 +1130,7 @@ def _stratum_candidates(sys: ConstraintSystem, count=12):
         if len(out) >= count:
             break
         b_mat = (kern @ rng.uniform(-1.0, 1.0, 3)).reshape(2, 2)
-        det = np.linalg.det(b_mat)
+        det = _det2(b_mat)
         if det <= 1e-9:
             continue
         if target is not None:
@@ -1176,7 +1172,7 @@ def _family_mids(sys: ConstraintSystem, desc, sign=0.0, count=16):
             continue
         b, b_mat = cand
         b_mat = np.atleast_2d(np.asarray(b_mat, dtype=float))
-        if b <= 0.1 or np.linalg.det(b_mat) <= 0.1:
+        if b <= 0.1 or _det2(b_mat) <= 0.1:
             continue
         if sign and float(row @ b_mat.ravel()) * sign <= 0:
             continue
@@ -1185,43 +1181,47 @@ def _family_mids(sys: ConstraintSystem, desc, sign=0.0, count=16):
     return out
 
 
-def _bend_route(sys: ConstraintSystem, make_leg, xp, xq, mids):
-    """Direct chart leg, or one bend through a family sample."""
-    leg = make_leg(xp, xq)
-    if _graph_leg_ok(sys, leg):
+def _bend_route(leg_for, xp, xq, mids):
+    """Direct checked leg, or one bend through a family sample."""
+    leg = leg_for(xp, xq)
+    if leg is not None:
         return [leg]
     for x_mid in mids:
-        leg1 = make_leg(xp, x_mid)
-        leg2 = make_leg(x_mid, xq)
-        if _graph_leg_ok(sys, leg1) and _graph_leg_ok(sys, leg2):
+        leg1 = leg_for(xp, x_mid)
+        leg2 = leg_for(x_mid, xq) if leg1 is not None else None
+        if leg2 is not None:
             return [leg1, leg2]
     return None
 
 
-def _stratum_approach(sys: ConstraintSystem, x, b_end, b_star, mids):
+def _stratum_approach(sys: ConstraintSystem, leg_for, x, b_star, mids):
     """Legs from a graph-family point into the stratum point B*, or None."""
     _, b_mat = sys.unpack(x)
     land = _landing_b(sys, b_mat, b_star)
     if land is not None and land > _SAFE:
         x_land = sys.pack(land, b_star)
-        leg = _graph_curve(sys, x, x_land, b_end, land)
-        if _graph_leg_ok(sys, leg):
+        leg = leg_for(x, x_land)
+        if leg is not None:
             return [leg], x_land
     for x_mid in mids:
-        b_m, bm_mat = sys.unpack(x_mid)
+        _, bm_mat = sys.unpack(x_mid)
         land = _landing_b(sys, bm_mat, b_star)
         if land is None or land <= _SAFE:
             continue
         x_land = sys.pack(land, b_star)
-        leg1 = _graph_curve(sys, x, x_mid, b_end, b_m)
-        leg2 = _graph_curve(sys, x_mid, x_land, b_m, land)
-        if _graph_leg_ok(sys, leg1) and _graph_leg_ok(sys, leg2):
+        leg1 = leg_for(x, x_mid)
+        leg2 = leg_for(x_mid, x_land) if leg1 is not None else None
+        if leg2 is not None:
             return [leg1, leg2], x_land
     return None
 
 
-def _route(sys: ConstraintSystem, desc: SolutionSetDescription, xp, xq):
-    """Case-aware list of predictor curves from xp to xq, or None."""
+def _route(sys: ConstraintSystem, desc: SolutionSetDescription, xp, xq, verdicts: dict):
+    """Case-aware list of predictor curves from xp to xq, or None.
+
+    Legs that need a region check are decided through the verdicts table
+    (see _checked_leg).
+    """
     kind = desc.kind
     c = desc.constants
     if kind == "empty":
@@ -1235,13 +1235,17 @@ def _route(sys: ConstraintSystem, desc: SolutionSetDescription, xp, xq):
         if kind == "ray":
             slope = c["slope"]
             return [lambda t: np.array([slope * ((1 - t) * b2p + t * b2q), (1 - t) * b2p + t * b2q])]
-        return [_linear_curve(xp, xq)]  # quadrant and point: the region is convex
+        return [_LinearCurve(xp, xq)]  # quadrant and point: the region is convex
     label = desc.case_label
     b_p, bp_mat = sys.unpack(xp)
     b_q, bq_mat = sys.unpack(xq)
+
+    def checker(make_leg):
+        return lambda x0, x1: _checked_leg(sys, verdicts, make_leg, x0, x1)
+
     if label == "L0.D0":
         if kind == "region":
-            return _bend_route(sys, _linear_curve, xp, xq, _family_mids(sys, desc))
+            return _bend_route(checker(_LinearCurve), xp, xq, _family_mids(sys, desc))
         a = c["a"]
 
         def quad_leg(x0, x1):
@@ -1250,42 +1254,41 @@ def _route(sys: ConstraintSystem, desc: SolutionSetDescription, xp, xq):
 
             def curve(t):
                 b_mat = (1.0 - t) * m0 + t * m1
-                det = np.linalg.det(b_mat)
+                det = _det2(b_mat)
                 if det <= 1e-12:
                     return sys.pack(-1.0, b_mat)  # flagged out of region
                 return sys.pack((1.0 - t) * b0 + t * b1, b_mat * math.sqrt(a / det))
 
             return curve
 
-        return _bend_route(sys, quad_leg, xp, xq, _family_mids(sys, desc))
+        return _bend_route(checker(quad_leg), xp, xq, _family_mids(sys, desc))
     if label == "L0.Dnz":
         row = _bprime_row(sys.D)
         sp = float(row @ bp_mat.ravel())
         sq = float(row @ bq_mat.ravel())
         tol = 1e-9 * sys.scale
         if kind == "stratum":
-            return _bend_route(sys, _linear_curve, xp, xq, _family_mids(sys, desc))
-
-        def graph_leg(x0, x1):
-            return _graph_curve(sys, x0, x1, sys.unpack(x0)[0], sys.unpack(x1)[0])
-
+            return _bend_route(checker(_LinearCurve), xp, xq, _family_mids(sys, desc))
+        graph_leg = checker(
+            lambda x0, x1: _graph_curve(sys, x0, x1, sys.unpack(x0)[0], sys.unpack(x1)[0])
+        )
         if abs(sp) <= tol or abs(sq) <= tol or sp * sq > 0:
             side = sp if abs(sp) > tol else sq
-            return _bend_route(sys, graph_leg, xp, xq, _family_mids(sys, desc, sign=side))
+            return _bend_route(graph_leg, xp, xq, _family_mids(sys, desc, sign=side))
         # opposite signs of b': route through a stratum point where the
         # graph value of b extends continuously to a positive limit
         mids_p = _family_mids(sys, desc, sign=sp)
         mids_q = _family_mids(sys, desc, sign=sq)
         for b_star in _stratum_candidates(sys):
-            got_in = _stratum_approach(sys, xp, b_p, b_star, mids_p)
+            got_in = _stratum_approach(sys, graph_leg, xp, b_star, mids_p)
             if got_in is None:
                 continue
-            got_out = _stratum_approach(sys, xq, b_q, b_star, mids_q)
+            got_out = _stratum_approach(sys, graph_leg, xq, b_star, mids_q)
             if got_out is None:
                 continue
             legs_in, x_in = got_in
             legs_out, x_out = got_out
-            slide = [] if np.linalg.norm(x_in - x_out) <= 1e-12 else [_linear_curve(x_in, x_out)]
+            slide = [] if np.linalg.norm(x_in - x_out) <= 1e-12 else [_LinearCurve(x_in, x_out)]
             return legs_in + slide + [_rev_leg(leg) for leg in reversed(legs_out)]
         return None
     if label == "L.indep":
@@ -1297,43 +1300,36 @@ def _route(sys: ConstraintSystem, desc: SolutionSetDescription, xp, xq):
 
         return [curve]
     if label == "L.prop":
-        return [_linear_curve(xp, xq)]  # affine chart, affine constraints
+        return [_LinearCurve(xp, xq)]  # affine chart, affine constraints
     if label in ("L.mpzero", "L.ppzero"):
+        # chart B = T [first_row(b); w], with b and the row w linear along a leg
         t_mat = c["transform"]
-        t_inv = np.linalg.inv(t_mat)
+        t_inv = _inv2(t_mat)
         if label == "L.mpzero":
             lam = c["lambda"]
 
-            def chart_leg(x0, x1):
-                b0, m0 = sys.unpack(x0)
-                b1, m1 = sys.unpack(x1)
-                r0, r1 = (t_inv @ m0)[1], (t_inv @ m1)[1]
-
-                def curve(t):
-                    b = (1.0 - t) * b0 + t * b1
-                    row2 = (1.0 - t) * r0 + t * r1
-                    bw = np.array([[-b * lam[0], -b * lam[1]], row2])
-                    return sys.pack(b, t_mat @ bw)
-
-                return curve
+            def first_row(b):
+                return [-b * lam[0], -b * lam[1]]
 
         else:
             l1, l2 = c["l1"], c["l2"]
 
-            def chart_leg(x0, x1):
-                b0, m0 = sys.unpack(x0)
-                b1, m1 = sys.unpack(x1)
-                r0, r1 = (t_inv @ m0)[1], (t_inv @ m1)[1]
+            def first_row(b):
+                return [l1 / b, l2 / b]
 
-                def curve(t):
-                    b = (1.0 - t) * b0 + t * b1
-                    row2 = (1.0 - t) * r0 + t * r1
-                    bw = np.array([[l1 / b, l2 / b], row2])
-                    return sys.pack(b, t_mat @ bw)
+        def chart_leg(x0, x1):
+            b0, m0 = sys.unpack(x0)
+            b1, m1 = sys.unpack(x1)
+            r0, r1 = (t_inv @ m0)[1], (t_inv @ m1)[1]
 
-                return curve
+            def curve(t):
+                b = (1.0 - t) * b0 + t * b1
+                bw = np.array([first_row(b), (1.0 - t) * r0 + t * r1])
+                return sys.pack(b, t_mat @ bw)
 
-        return _bend_route(sys, chart_leg, xp, xq, _family_mids(sys, desc))
+            return curve
+
+        return _bend_route(checker(chart_leg), xp, xq, _family_mids(sys, desc))
     return None
 
 
@@ -1351,7 +1347,8 @@ def connect(p, q, sys: ConstraintSystem) -> ConnectPath:
     """Join two solutions by a verified polyline inside the family.
 
     Tries a case-aware chart route first, then the straight line, then a
-    roadmap through sampled intermediate witnesses.
+    roadmap through sampled intermediate witnesses.  The description comes
+    from solve(sys), and every leg's region check runs at most once a call.
     """
     xp = _as_position(sys, p)
     xq = _as_position(sys, q)
@@ -1380,12 +1377,13 @@ def connect(p, q, sys: ConstraintSystem) -> ConnectPath:
         message = "corrector failed below the minimal step size"
         return None
 
-    direct = _route(sys, desc, xp, xq)
+    verdicts = {}
+    direct = _route(sys, desc, xp, xq, verdicts)
     if direct is not None:
         result = attempt(direct)
         if result is not None:
             return result
-    result = attempt([_linear_curve(xp, xq)])
+    result = attempt([_LinearCurve(xp, xq)])
     if result is not None:
         return result
 
@@ -1406,7 +1404,7 @@ def connect(p, q, sys: ConstraintSystem) -> ConnectPath:
     adj = {i: [] for i in range(n)}
     for i in range(n):
         for j in range(i + 1, n):
-            legs = _route(sys, desc, nodes[i], nodes[j])
+            legs = _route(sys, desc, nodes[i], nodes[j], verdicts)
             if legs is not None:
                 legs_for[(i, j)] = legs
                 adj[i].append(j)
@@ -1439,9 +1437,7 @@ def connect(p, q, sys: ConstraintSystem) -> ConnectPath:
             edge = (min(u, v), max(u, v))
             legs = legs_for[edge]
             if u > v:
-                legs = [
-                    (lambda leg: (lambda t: leg(1.0 - t)))(leg) for leg in reversed(legs)
-                ]
+                legs = [_rev_leg(leg) for leg in reversed(legs)]
             path, partial = _walk_route(sys, legs)
             if path is None:
                 failed_edge = edge

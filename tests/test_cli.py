@@ -135,6 +135,19 @@ def test_certify_quadric(tmp_path, capsys):
     assert report["expected_components"] == 1
 
 
+def test_certify_quadric_with_small_a_plus(tmp_path, capsys):
+    # a_plus = 1 is tiny against a_minus = 1e10 but not zero: {det B = 1e10}
+    doc = json.loads(json.dumps(QUADRIC_SYS))
+    doc["system"]["a_minus"] = 1e10
+    rc, out, _ = run(tmp_path, capsys, "solve", doc, "--format", "machine")
+    assert rc == 0
+    assert json.loads(out)["description"]["kind"] == "quadric"
+    rc, out, _ = run(tmp_path, capsys, "certify", doc,
+                     "--samples", "4", "--format", "machine")
+    assert rc == 0
+    assert json.loads(out)["component_count"] == 1
+
+
 def test_certify_empty(tmp_path, capsys):
     doc = {"system": {"m": 1, "l_pp": [1], "l_pm": [1],
                       "l_mp": [-1], "l_mm": [1]}}
@@ -242,6 +255,21 @@ def test_input_errors_exit_2(tmp_path, capsys):
     rc = main(["solve", str(tmp_path / "missing.json")])
     captured = capsys.readouterr()
     assert rc == 2
+
+
+def test_bad_numbers_exit_2(tmp_path, capsys):
+    # each of these used to escape as a traceback with exit status 1
+    for key, value in (("l_pp", ["one", 0]), ("a_plus", "nan"), ("a_minus", float("inf"))):
+        doc = json.loads(json.dumps(QUADRIC_SYS))
+        doc["system"][key] = value
+        rc, _, err = run(tmp_path, capsys, "certify", doc, "--samples", "2")
+        assert rc == 2, key
+        assert "invalid system block" in err
+    doc = json.loads(json.dumps(KOD))
+    doc["real_structure"]["d1"] = [0, "1/0"]
+    rc, _, err = run(tmp_path, capsys, "check-real", doc)
+    assert rc == 2
+    assert "invalid real structure" in err
 
 
 def test_unknown_command_rejected():

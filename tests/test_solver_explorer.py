@@ -5,6 +5,8 @@ import json
 import numpy as np
 import pytest
 
+import torusbundles.solver_explorer as se
+from torusbundles.cli import main
 from torusbundles.lattice_core import BundleDatum
 from torusbundles.real_structures import RealStructureData, eigensplit
 from torusbundles.solver_explorer import (
@@ -123,6 +125,15 @@ def test_kodaira_hyperbola():
     assert not desc.contains(1.0, [[1.0]])
 
 
+def test_kodaira_hyperbola_beyond_box():
+    # kappa = 101 > _BOX^2: b1 b2 = kappa has no point with both in (0, 10]
+    cs = kod(0, 101, 1, 0)
+    desc = solve(cs)
+    assert desc.kind == "hyperbola"
+    check_witnesses(desc)
+    assert connectivity_certificate(cs, samples=6, seed=0).component_count == 1
+
+
 def test_kodaira_ray():
     desc = solve(kod(-1, 0, 0, 1))
     assert desc.kind == "ray"
@@ -164,6 +175,13 @@ def test_quadric_family():
     check_witnesses(desc)
     for w in desc.witnesses:
         assert np.linalg.det(w.b_matrix) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_quadric_with_small_a_plus():
+    # a_plus = 1 is below ZERO_TOL times the scale 1e10, but it is not zero
+    desc = solve(three(1.0, 1e10, np.zeros((2, 2)), ZL, ZL, ZL, ZL))
+    assert desc.kind == "quadric"
+    check_witnesses(desc)
 
 
 def test_quadric_sign_empty():
@@ -371,10 +389,67 @@ def test_certificate_empty_family():
     assert cert.samples == 5
 
 
-def test_certificate_detects_stratum_split():
+def test_certificate_detects_stratum_split(monkeypatch):
+    solved = []
+    real_solve = se.solve_threefold
+    monkeypatch.setattr(se, "solve_threefold", lambda cs: solved.append(cs) or real_solve(cs))
     cs = three(0.0, 0.0, np.eye(2), ZL, ZL, ZL, ZL)
     cert = connectivity_certificate(cs, samples=8, seed=5)
     assert cert.component_count == 2
+    assert cert.failures
+    assert solved == [cs]  # one solve serves the sampler and every join
+
+
+def test_split_certify_machine_output_reproducible(tmp_path, capsys):
+    doc = {"system": {"m": 2, "a_plus": 0, "a_minus": 0, "D": [[1, 0], [0, 1]],
+                      "l_pp": ZL, "l_pm": ZL, "l_mp": ZL, "l_mm": ZL}}
+    path = tmp_path / "split.json"
+    path.write_text(json.dumps(doc))
+    outs = []
+    for _ in range(2):
+        rc = main(["certify", str(path), "--samples", "8", "--seed", "5", "--format", "machine"])
+        assert rc == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    # a second certificate on the same system reuses its description
+    cs = three(0.0, 0.0, np.eye(2), ZL, ZL, ZL, ZL)
+    first = connectivity_certificate(cs, samples=8, seed=5).to_dict()
+    assert connectivity_certificate(cs, samples=8, seed=5).to_dict() == first
+    assert json.loads(outs[0])["certificate"] == first
+
+
+def _sampled_leg_ok(x0, x1):
+    """The 33-point test of b and det B along a straight leg."""
+    for t in np.linspace(0.0, 1.0, 33):
+        x = (1.0 - t) * x0 + t * x1
+        if x[0] <= se._SAFE or np.linalg.det(x[1:].reshape(2, 2)) <= se._SAFE:
+            return False
+    return True
+
+
+def test_exact_leg_check_never_accepts_a_sampled_rejection():
+    cs = three(0.0, 0.0, np.eye(2), ZL, ZL, ZL, ZL)
+    rng = np.random.default_rng(20061)
+    chords = [(rng.uniform(-0.5, 3.0, 5), rng.uniform(-0.5, 3.0, 5)) for _ in range(400)]
+    dips = []
+    while len(dips) < 100:
+        # B(t) = P diag(t - t1, t - t2) Q with t1 < t2 between two neighbouring
+        # sample points: det B < 0 on (t1, t2) and positive at every sample
+        p, q = rng.uniform(-2.0, 2.0, (2, 2, 2))
+        if abs(np.linalg.det(p) * np.linalg.det(q)) < 0.5:
+            continue
+        if np.linalg.det(p) * np.linalg.det(q) < 0:
+            p[0] *= -1.0
+        t1, t2 = np.sort(rng.integers(0, 32) + rng.uniform(0.3, 0.7, 2)) / 32.0
+        b0, b1 = rng.uniform(0.5, 3.0, 2)
+        dips.append((np.concatenate(([b0], (p @ np.diag([-t1, -t2]) @ q).ravel())),
+                     np.concatenate(([b1], (p @ np.diag([1 - t1, 1 - t2]) @ q).ravel()))))
+    verdicts = [(se._graph_leg_ok(cs, se._LinearCurve(x0, x1)), _sampled_leg_ok(x0, x1))
+                for x0, x1 in chords + dips]
+    assert not any(exact and not sampled for exact, sampled in verdicts)
+    assert any(exact for exact, _ in verdicts[:len(chords)])
+    assert not any(exact for exact, _ in verdicts[len(chords):])
+    assert all(sampled for _, sampled in verdicts[len(chords):])
 
 
 def test_certificate_deterministic():
