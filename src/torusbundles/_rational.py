@@ -1,10 +1,12 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the integers and the rationals.
 
 Small dense matrices only (dimensions here never exceed a few dozen), so
 plain fraction arithmetic with Gauss elimination is fast enough and avoids
 any floating point contamination in the integer/rational code paths.
 
-Matrices are lists of lists of Fraction; vectors are lists of Fraction.
+Matrices are lists of lists of Fraction or int; vectors are lists of
+Fraction or int.  Products of integer matrices and vectors stay integers,
+and the rank of an integer matrix is found by fraction-free elimination.
 """
 
 from __future__ import annotations
@@ -48,24 +50,17 @@ def transpose(mat):
 
 
 def mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
-    out = zeros(n, m)
-    for i in range(n):
-        for j in range(m):
-            out[i][j] = sum((a[i][t] * b[t][j] for t in range(k)), Fraction(0))
-    return out
+    cols = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
 
 
 def mat_vec(a, v):
-    return [sum((a[i][j] * v[j] for j in range(len(v))), Fraction(0)) for i in range(len(a))]
+    return [sum(x * y for x, y in zip(row, v)) for row in a]
 
 
-def vec_mat_vec(x, a, y) -> Fraction:
+def vec_mat_vec(x, a, y):
     """x^T a y for vectors x, y."""
-    return sum(
-        (x[i] * a[i][j] * y[j] for i in range(len(x)) for j in range(len(y))),
-        Fraction(0),
-    )
+    return sum(xi * sum(aij * yj for aij, yj in zip(row, y)) for xi, row in zip(x, a))
 
 
 def mat_add(a, b):
@@ -74,11 +69,6 @@ def mat_add(a, b):
 
 def mat_sub(a, b):
     return [[a[i][j] - b[i][j] for j in range(len(a[0]))] for i in range(len(a))]
-
-
-def mat_scale(a, c):
-    c = frac(c)
-    return [[c * x for x in row] for row in a]
 
 
 def mat_eq(a, b) -> bool:
@@ -117,10 +107,42 @@ def rref(mat):
 
 
 def rank(mat) -> int:
+    """Exact rank; integer matrices take the fraction-free Bareiss route."""
     if not mat or not mat[0]:
         return 0
+    if all(type(x) is int for row in mat for x in row):
+        return _bareiss_rank(mat)
     _, pivots = rref(mat)
     return len(pivots)
+
+
+def _bareiss_rank(mat) -> int:
+    """Rank of an integer matrix by Bareiss elimination (Math. Comp. 1968).
+
+    After each pivot every remaining entry is a minor of the input, so the
+    division by the previous pivot is exact and the entries stay integers.
+    Columns without a pivot are skipped; the minors are then taken over the
+    pivot columns found so far, and the division stays exact.
+    """
+    r = [list(row) for row in mat]
+    n = len(r)
+    rk, prev = 0, 1
+    for col in range(len(r[0])):
+        pivot = next((i for i in range(rk, n) if r[i][col]), None)
+        if pivot is None:
+            continue
+        r[rk], r[pivot] = r[pivot], r[rk]
+        top = r[rk]
+        p = top[col]
+        for i in range(rk + 1, n):
+            row = r[i]
+            a = row[col]
+            r[i] = [(p * x - a * y) // prev for x, y in zip(row, top)]
+        prev = p
+        rk += 1
+        if rk == n:
+            break
+    return rk
 
 
 def det(mat) -> Fraction:
@@ -210,9 +232,76 @@ def _primitive_integer(v):
 
 
 def integer_kernel(mat):
-    """Primitive integer basis of the null space, ordered lexicographically."""
-    basis = [_primitive_integer(v) for v in kernel(mat)]
-    return sorted(basis)
+    """Lattice basis of ker(mat) meet Z^n, ordered lexicographically.
+
+    The echelon kernel vectors, each scaled to a primitive integer vector,
+    are returned as they are when they span the whole lattice.  They may
+    not: a combination of them can be a multiple of a lattice vector (index
+    2 or 3 for conjugates of diag(1, 1, -1, -1) on Z^4).  The lattice is
+    found as in Cohen, A Course in Computational Algebraic Number Theory,
+    2.4.10: unimodular column operations bring mat to echelon form, and the
+    operation columns past its rank span the integer kernel.  Two bases span
+    the same lattice when their Hermite normal forms agree; when they do
+    not, the Hermite normal form of the lattice is returned.
+    """
+    basis = sorted(_primitive_integer(v) for v in kernel(mat))
+    if not basis:
+        return basis
+    n = len(basis[0])
+    rows = [_primitive_integer(row) for row in mat]  # same kernel, integer rows
+    height = len(rows)
+    # columns of mat stacked on the identity, which records the operations
+    cols = [[row[j] for row in rows] + [int(i == j) for i in range(n)] for j in range(n)]
+    rk = _hermite(cols, height)
+    lattice = [col[height:] for col in cols[rk:]]
+    _hermite(lattice, n)
+    spanned = [v[:] for v in basis]
+    _hermite(spanned, n)
+    return basis if spanned == lattice else sorted(lattice)
+
+
+def _hermite(cols, height):
+    """Column Hermite normal form of integer columns, in place; returns the rank.
+
+    Unimodular column operations, decided on the first `height` entries of
+    each column and applied to all of them, give each of the first rank
+    columns a positive pivot, its first nonzero entry, in a row where every
+    later column has a zero and every earlier column an entry in [0, pivot).
+    """
+    rk = 0
+    for row in range(height):
+        if rk == len(cols):
+            break
+        for j in range(rk + 1, len(cols)):
+            b = cols[j][row]
+            if b:
+                a = cols[rk][row]
+                g, x, y = _xgcd(a, b)
+                u, w = cols[rk], cols[j]
+                cols[rk] = [x * s + y * t for s, t in zip(u, w)]
+                cols[j] = [(a // g) * t - (b // g) * s for s, t in zip(u, w)]
+        pivot = cols[rk][row]
+        if pivot == 0:
+            continue
+        if pivot < 0:
+            cols[rk] = [-s for s in cols[rk]]
+            pivot = -pivot
+        for j in range(rk):
+            q = cols[j][row] // pivot
+            if q:
+                cols[j] = [s - q * t for s, t in zip(cols[j], cols[rk])]
+        rk += 1
+    return rk
+
+
+def _xgcd(a, b):
+    """(g, x, y) with g = gcd(a, b) >= 0 and x a + y b = g."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q, a, b = a // b, b, a % b
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    return (a, x0, y0) if a >= 0 else (-a, -x0, -y0)
 
 
 def inverse(mat):
@@ -226,7 +315,3 @@ def inverse(mat):
 
 def is_integer_vector(v) -> bool:
     return all(frac(x).denominator == 1 for x in v)
-
-
-def is_integer_matrix(mat) -> bool:
-    return all(is_integer_vector(row) for row in mat)

@@ -119,9 +119,16 @@ def _load_pair(doc, datum) -> ComplexStructurePair:
     try:
         j1 = np.array(doc["J1"], dtype=float) if "J1" in doc else standard_structure(datum.d)
         j2 = np.array(doc["J2"], dtype=float) if "J2" in doc else standard_structure(datum.m)
-        return ComplexStructurePair(J1=j1, J2=j2)
     except (TypeError, ValueError) as exc:
         raise InputError(f"invalid complex structure pair: {exc}") from exc
+    if not (np.isfinite(j1).all() and np.isfinite(j2).all()):
+        raise InputError("invalid complex structure pair: entries must be finite numbers")
+    try:
+        return ComplexStructurePair(J1=j1, J2=j2)
+    except ValueError as exc:
+        raise InputError(f"invalid complex structure pair: {exc}") from exc
+    except OverflowError as exc:
+        raise InputError("invalid complex structure pair: entries too large to square") from exc
 
 
 def _load_system(doc) -> ConstraintSystem:
@@ -311,6 +318,21 @@ def _cmd_reconstruct(doc, args):
             )
         except (TypeError, ValueError) as exc:
             raise InputError(f"invalid orbifold block: {exc}") from exc
+        n1, n2 = 2 * datum.d, 2 * datum.m
+        for key, value, size, inner in (
+            ("A1", data.A1, n1, n1),
+            ("A2", data.A2, n2, n2),
+            ("d2", data.d2, n2, None),
+            ("generator_translations", data.generator_translations, n2, n1),
+            ("square_translation_y", data.square_translation_y, n1, None),
+            ("square_translation_x", data.square_translation_x, n2, None),
+            ("lifts", data.lifts, n2, n1),
+        ):
+            if len(value) != size or any(len(row) != inner for row in value if inner):
+                shape = f"{size} x {inner}" if inner else f"{size}"
+                raise InputError(
+                    f"invalid orbifold block: {key} must be {shape} for m = {datum.m}, d = {datum.d}"
+                )
         try:
             rec = reconstruct_from_orbifold(datum, data)
         except ValueError as exc:

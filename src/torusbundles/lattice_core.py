@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from . import _rational as ratl
 
@@ -63,7 +64,7 @@ class BundleDatum:
             for i in range(n):
                 for j in range(n):
                     entry = mat[i][j]
-                    if not isinstance(entry, int):
+                    if not isinstance(entry, int) or isinstance(entry, bool):
                         raise ValueError(
                             f"components[{k}][{i}][{j}] is not an integer"
                         )
@@ -72,10 +73,6 @@ class BundleDatum:
                             f"components[{k}][{i}][{j}] breaks antisymmetry"
                         )
         object.__setattr__(self, "components", comps)
-
-    def component_matrices(self):
-        """Component matrices as exact Fraction matrices."""
-        return [ratl.frac_matrix(mat) for mat in self.components]
 
 
 @dataclass(frozen=True)
@@ -147,19 +144,16 @@ def lower_triangular_split(datum: BundleDatum) -> NormalizationDatum:
     return NormalizationDatum(T_minus=tuple(t_minus), S=tuple(s))
 
 
-def form_values(datum: BundleDatum, x, y):
-    """The vector (A_1(x, y), ..., A_2d(x, y)) of exact form values."""
+def form_values(datum, x, y):
+    """The vector (A_1(x, y), ..., A_2d(x, y)) of exact form values.
+
+    datum is a BundleDatum, or any sequence of square matrices, such as the
+    T_minus or S of a NormalizationDatum.
+    """
+    mats = datum.components if isinstance(datum, BundleDatum) else datum
     xf = ratl.frac_vector(x)
     yf = ratl.frac_vector(y)
-    return tuple(
-        ratl.vec_mat_vec(xf, ratl.frac_matrix(mat), yf) for mat in datum.components
-    )
-
-
-def _pairing(mats, x, y):
-    xf = ratl.frac_vector(x)
-    yf = ratl.frac_vector(y)
-    return tuple(ratl.vec_mat_vec(xf, ratl.frac_matrix(m), yf) for m in mats)
+    return tuple(ratl.vec_mat_vec(xf, mat, yf) for mat in mats)
 
 
 def group_identity(datum: BundleDatum) -> GroupElement:
@@ -168,7 +162,7 @@ def group_identity(datum: BundleDatum) -> GroupElement:
 
 def group_multiply(g: GroupElement, h: GroupElement, norm: NormalizationDatum) -> GroupElement:
     """(y, x)(y', x') = (y + y' + T-(x, x'), x + x')."""
-    tvals = _pairing(norm.T_minus, g.x, h.x)
+    tvals = form_values(norm.T_minus, g.x, h.x)
     y = tuple(a + b + t for a, b, t in zip(g.y, h.y, tvals))
     x = tuple(a + b for a, b in zip(g.x, h.x))
     return GroupElement(y=y, x=x, is_lattice=g.is_lattice and h.is_lattice)
@@ -176,7 +170,7 @@ def group_multiply(g: GroupElement, h: GroupElement, norm: NormalizationDatum) -
 
 def group_inverse(g: GroupElement, norm: NormalizationDatum) -> GroupElement:
     """(y, x)^(-1) = (-y + T-(x, x), -x)."""
-    tvals = _pairing(norm.T_minus, g.x, g.x)
+    tvals = form_values(norm.T_minus, g.x, g.x)
     y = tuple(-a + t for a, t in zip(g.y, tvals))
     x = tuple(-a for a in g.x)
     return GroupElement(y=y, x=x, is_lattice=g.is_lattice)
@@ -194,7 +188,7 @@ def t_minus_action(p: GroupElement, gamma_hat: GroupElement, norm: Normalization
     """Right translation by the zero-lift of a lattice vector in raw coordinates."""
     if not gamma_hat.is_lattice:
         raise ValueError("action is only defined for lattice elements")
-    tvals = _pairing(norm.T_minus, p.x, gamma_hat.x)
+    tvals = form_values(norm.T_minus, p.x, gamma_hat.x)
     y = tuple(a + g + t for a, g, t in zip(p.y, gamma_hat.y, tvals))
     x = tuple(a + b for a, b in zip(p.x, gamma_hat.x))
     return GroupElement(y=y, x=x, is_lattice=p.is_lattice)
@@ -202,13 +196,13 @@ def t_minus_action(p: GroupElement, gamma_hat: GroupElement, norm: Normalization
 
 def psi(p: GroupElement, norm: NormalizationDatum) -> GroupElement:
     """Psi(y, x) = (2 (y + S(x, x)), x)."""
-    svals = _pairing(norm.S, p.x, p.x)
+    svals = form_values(norm.S, p.x, p.x)
     y = tuple(2 * (a + s) for a, s in zip(p.y, svals))
     return GroupElement(y=y, x=p.x, is_lattice=False)
 
 
 def psi_inverse(p: GroupElement, norm: NormalizationDatum) -> GroupElement:
-    svals = _pairing(norm.S, p.x, p.x)
+    svals = form_values(norm.S, p.x, p.x)
     y = tuple(a / 2 - s for a, s in zip(p.y, svals))
     return GroupElement(y=y, x=p.x, is_lattice=False)
 
@@ -234,7 +228,7 @@ def normalized_action(
     if norm is None:
         norm = lower_triangular_split(datum)
     avals = form_values(datum, p.x, gamma_hat.x)
-    svals = _pairing(norm.S, gamma_hat.x, gamma_hat.x)
+    svals = form_values(norm.S, gamma_hat.x, gamma_hat.x)
     y = tuple(
         a + 2 * gy + av + 2 * sv
         for a, gy, av, sv in zip(p.y, gamma_hat.y, avals, svals)
@@ -250,11 +244,10 @@ def normalized_action(
 def is_nondegenerate(datum: BundleDatum) -> bool:
     """True when no nonzero vector is killed by every component matrix.
 
-    Exact rank test of the 2d matrices stacked into a (2d * 2m) x 2m matrix.
+    Exact integer rank of the 2d matrices stacked into a (2d * 2m) x 2m
+    matrix.
     """
-    stacked = []
-    for mat in datum.components:
-        stacked.extend(ratl.frac_matrix(mat))
+    stacked = [list(row) for mat in datum.components for row in mat]
     return ratl.rank(stacked) == 2 * datum.m
 
 
@@ -263,32 +256,56 @@ def is_nondegenerate(datum: BundleDatum) -> bool:
 
 
 def pfaffian(mat):
-    """Exact pfaffian of an antisymmetric matrix of even size.
+    """Exact pfaffian of an antisymmetric matrix of even size, a Fraction.
 
-    Recursive expansion along the first row; fine for the small sizes here.
+    Rational entries are first scaled to integers by their common
+    denominator c, using Pf(c A) = c^(n/2) Pf(A).
     """
-    m = ratl.frac_matrix(mat)
-    n = len(m)
+    f = ratl.frac_matrix(mat)
+    n = len(f)
     if n % 2 != 0:
         raise ValueError("pfaffian needs even size")
-    return _pf(m)
+    if any(len(row) != n for row in f) or any(
+        f[i][j] != -f[j][i] for i in range(n) for j in range(i, n)
+    ):
+        raise ValueError("pfaffian needs an antisymmetric matrix")
+    den = lcm(*(x.denominator for row in f for x in row))
+    return Fraction(_int_pfaffian([[int(x * den) for x in row] for row in f]), den ** (n // 2))
 
 
-def _pf(m):
-    n = len(m)
-    if n == 0:
-        return Fraction(1)
-    if n == 2:
-        return m[0][1]
-    total = Fraction(0)
-    sign = 1
-    for j in range(1, n):
-        if m[0][j] != 0:
-            rows = [i for i in range(1, n) if i != j]
-            minor = [[m[a][b] for b in rows] for a in rows]
-            total += sign * m[0][j] * _pf(minor)
-        sign = -sign
-    return total
+def _int_pfaffian(mat) -> int:
+    """Pfaffian of an antisymmetric integer matrix in O(n^3) integer steps.
+
+    Fraction-free skew elimination, the pfaffian analogue of Bareiss: after
+    the pivot pairs (0, 1), ..., (2k - 2, 2k - 1) the entry (i, j) of the
+    trailing block is the pfaffian of the principal submatrix on rows
+    0..2k-1, i, j, and the leading pfaffian P_k of rows 0..2k-1 divides
+    every entry of the next step exactly.  A zero pivot swaps in the first
+    nonzero column of its row, which flips the sign; a zero row means a
+    zero pfaffian.
+    """
+    a = [list(row) for row in mat]
+    n = len(a)
+    sign, prev = 1, 1
+    for k in range(0, n, 2):
+        row = a[k]
+        j = next((j for j in range(k + 1, n) if row[j]), None)
+        if j is None:
+            return 0
+        if j != k + 1:
+            a[j], a[k + 1] = a[k + 1], a[j]
+            for r in a:
+                r[j], r[k + 1] = r[k + 1], r[j]
+            sign = -sign
+        r1, r2 = a[k], a[k + 1]
+        p = r1[k + 1]
+        for i in range(k + 2, n):
+            ri = a[i]
+            u, v = ri[k], ri[k + 1]
+            for c in range(k + 2, n):
+                ri[c] = (p * ri[c] - v * r1[c] + u * r2[c]) // prev
+        prev = p
+    return sign * prev
 
 
 def pfaffian_binary_form(datum: BundleDatum):
@@ -300,13 +317,12 @@ def pfaffian_binary_form(datum: BundleDatum):
     """
     if datum.d != 1:
         raise ValueError("pfaffian pencil is defined for d = 1")
-    a1 = ratl.frac_matrix(datum.components[0])
-    a2 = ratl.frac_matrix(datum.components[1])
+    a1, a2 = datum.components
     m = datum.m
-    samples = []
-    for t in range(m + 1):
-        mat = ratl.mat_add(ratl.mat_scale(a1, t), a2)
-        samples.append(_pf(mat))
+    samples = [
+        _int_pfaffian([[t * x + y for x, y in zip(r1, r2)] for r1, r2 in zip(a1, a2)])
+        for t in range(m + 1)
+    ]
     # Vandermonde solve: sum_j c_j t^j = samples[t]
     vand = [[Fraction(t) ** j for j in range(m + 1)] for t in range(m + 1)]
     coeffs = ratl.solve(vand, samples)

@@ -53,14 +53,13 @@ def _int_matrix(mat, name: str, n: int):
         raise ValueError(f"{name} must be {n}x{n}")
     for i, row in enumerate(rows):
         for j, x in enumerate(row):
-            if not isinstance(x, int):
+            if not isinstance(x, int) or isinstance(x, bool):
                 raise ValueError(f"{name}[{i}][{j}] is not an integer")
     return rows
 
 
 def _is_involution(mat) -> bool:
-    f = ratl.frac_matrix(mat)
-    return ratl.mat_eq(ratl.mat_mul(f, f), ratl.identity(len(f)))
+    return ratl.mat_eq(ratl.mat_mul(mat, mat), ratl.identity(len(mat)))
 
 
 @dataclass(frozen=True)
@@ -123,10 +122,8 @@ def normalize_translation(rs: RealStructureData) -> RealStructureData:
     the rationals is exactly the -1 eigenspace of A1; the projection is
     therefore a canonical representative of the translation orbit.
     """
-    a1 = ratl.frac_matrix(rs.A1)
-    d1 = ratl.frac_vector(rs.d1)
-    moved = ratl.mat_vec(a1, d1)
-    d1n = tuple((a + b) / 2 for a, b in zip(d1, moved))
+    moved = ratl.mat_vec(rs.A1, rs.d1)
+    d1n = tuple((a + b) / 2 for a, b in zip(rs.d1, moved))
     return RealStructureData(A1=rs.A1, A2=rs.A2, L=rs.L, d1=d1n, d2=rs.d2)
 
 
@@ -148,16 +145,15 @@ def check_integral_conditions(datum: BundleDatum, rs: RealStructureData) -> dict
     The I7 witness is found by solving the stacked exact linear system; for
     nondegenerate data the rational solution is unique, so failure can be
     reported as either inconsistency or non-integrality.
+
+    I1 to I3 are integer matrix identities: I3 on the basis pairs reads
+    A2^T A_k A2 = sum_l (A1)_kl A_l for every component k.
     """
     from .lattice_core import is_nondegenerate
 
     m, d = datum.m, datum.d
-    a1 = ratl.frac_matrix(rs.A1)
-    a2 = ratl.frac_matrix(rs.A2)
-    l = ratl.frac_matrix(rs.L)
-    d1 = ratl.frac_vector(rs.d1)
-    d2 = ratl.frac_vector(rs.d2)
-    comps = [ratl.frac_matrix(c) for c in datum.components]
+    a1, a2, l, d1, d2 = rs.A1, rs.A2, rs.L, rs.d1, rs.d2
+    comps = datum.components
     report: dict = {"nondegenerate": is_nondegenerate(datum)}
 
     report["I1"] = {
@@ -170,23 +166,19 @@ def check_integral_conditions(datum: BundleDatum, rs: RealStructureData) -> dict
     }
 
     # I3 on all basis pairs; bilinearity extends it to everything
-    ok3 = True
-    bad3 = None
     n = 2 * m
-    for i in range(n):
-        for j in range(n):
-            left = ratl.mat_vec(a1, [comps[k][i][j] for k in range(2 * d)])
-            ei = [Fraction(int(t == i)) for t in range(n)]
-            ej = [Fraction(int(t == j)) for t in range(n)]
-            a2i = ratl.mat_vec(a2, ei)
-            a2j = ratl.mat_vec(a2, ej)
-            right = [ratl.vec_mat_vec(a2i, comps[k], a2j) for k in range(2 * d)]
-            if left != right:
-                ok3 = False
-                bad3 = (i, j)
-                break
-        if not ok3:
-            break
+    comp_a2 = [ratl.mat_mul(c, a2) for c in comps]  # A_k A2, also used by I4
+    right = [ratl.mat_mul(ratl.transpose(a2), c) for c in comp_a2]
+    left = [
+        [[sum(w * c[i][j] for w, c in zip(weights, comps)) for j in range(n)] for i in range(n)]
+        for weights in a1
+    ]
+    bad3 = next(
+        ((i, j) for i in range(n) for j in range(n)
+         if any(x[i][j] != y[i][j] for x, y in zip(left, right))),
+        None,
+    )
+    ok3 = bad3 is None
     report["I3"] = {
         "ok": ok3,
         "detail": "equivariance of the form under the involution pair",
@@ -197,10 +189,9 @@ def check_integral_conditions(datum: BundleDatum, rs: RealStructureData) -> dict
     ok4 = True
     bad4 = None
     for j in range(n):
-        ej = [Fraction(int(t == j)) for t in range(n)]
-        a2j = ratl.mat_vec(a2, ej)
-        shift = [ratl.vec_mat_vec(d2, comps[k], a2j) for k in range(2 * d)]
-        val = [ratl.mat_vec(l, ej)[k] - shift[k] for k in range(2 * d)]
+        val = [
+            l[k][j] - sum(x * row[j] for x, row in zip(d2, comp_a2[k])) for k in range(2 * d)
+        ]
         if not ratl.is_integer_vector(val):
             ok4 = False
             bad4 = j
@@ -234,7 +225,7 @@ def check_integral_conditions(datum: BundleDatum, rs: RealStructureData) -> dict
     rhs = []
     for k in range(2 * d):
         for row_i in range(n):
-            stacked.append([comps[k][row_i][j] for j in range(n)])
+            stacked.append(list(comps[k][row_i]))
             rhs.append(-mmat[k][row_i])
     gamma = ratl.solve(stacked, rhs)
     if gamma is None:
@@ -497,10 +488,11 @@ def check_dianalytic_conditions(
 class EigenSplit:
     """Block data of (A, L) on the +1/-1 eigenspaces of (A1, A2).
 
-    basis_V_plus and friends hold primitive integer basis columns of the
-    eigenspaces.  A_plus, A_minus collect the U+ valued blocks of the form
-    on V+ x V+ and V- x V-, D the U- valued block on V- x V+; the U- block
-    on V+ x V- is minus the transpose of D and is not stored.  L_pp, L_pm,
+    basis_V_plus and friends hold integer basis columns of the lattice of
+    integer points of each eigenspace.  A_plus, A_minus collect the U+
+    valued blocks of the form on V+ x V+ and V- x V-, D the U- valued block
+    on V- x V+; the U- block on V+ x V- is minus the transpose of D and is
+    not stored.  L_pp, L_pm,
     L_mp, L_mm are the eigenblocks of L (superscript fiber sign, subscript
     base sign).  gamma_hat_plus is the ambient integer vector in V+ that
     generates the coupling blocks, when one exists.
@@ -541,11 +533,9 @@ class EigenSplit:
 
 
 def _eigenbasis(mat, sign: int):
-    """Primitive integer basis of ker(mat - sign I), lexicographic order."""
-    f = ratl.frac_matrix(mat)
-    n = len(f)
+    """Lattice basis of ker(mat - sign I) in Z^n, lexicographic order."""
     shifted = [
-        [f[i][j] - (sign if i == j else 0) for j in range(n)] for i in range(n)
+        [x - (sign if i == j else 0) for j, x in enumerate(row)] for i, row in enumerate(mat)
     ]
     return ratl.integer_kernel(shifted)
 
@@ -577,72 +567,28 @@ def eigensplit(datum: BundleDatum, rs: RealStructureData) -> EigenSplit:
     if p + q != 2 * m or len(up) + len(um) != 2 * d:
         raise ValueError("eigenspaces do not span; involution data inconsistent")
 
-    w_cols = [list(col) for col in up + um]
-    w = ratl.transpose(ratl.frac_matrix(w_cols))  # 2d x 2d, columns U+ then U-
-    v_all = [ratl.frac_vector(col) for col in vp + vm]
+    w = ratl.transpose(up + um)  # 2d x 2d, columns U+ then U-
+    v_all = vp + vm
 
-    def u_split(value):
-        coords = ratl.solve(w, value)
-        return coords[: len(up)], coords[len(up):]
-
-    # form values on all eigenbasis pairs
-    plus_part = [[None] * (p + q) for _ in range(p + q)]
-    minus_part = [[None] * (p + q) for _ in range(p + q)]
-    for i in range(p + q):
-        for j in range(p + q):
-            val = list(form_values(datum, v_all[i], v_all[j]))
-            cp, cm = u_split(val)
-            plus_part[i][j] = cp
-            minus_part[i][j] = cm
-
-    def assert_zero(block, name):
-        for row in block:
-            for entry in row:
-                for x in entry:
-                    if x != 0:
-                        raise ValueError(
-                            f"eigenspace block structure violated: {name} is nonzero"
-                        )
-
-    assert_zero(
-        [[plus_part[i][p + j] for j in range(q)] for i in range(p)],
-        "U+ part on V+ x V-",
-    )
-    assert_zero(
-        [[minus_part[i][j] for j in range(p)] for i in range(p)],
-        "U- part on V+ x V+",
-    )
-    assert_zero(
-        [[minus_part[p + i][p + j] for j in range(q)] for i in range(q)],
-        "U- part on V- x V-",
-    )
-
-    a_plus = np.array(
-        [[[float(plus_part[i][j][k]) for j in range(p)] for i in range(p)] for k in range(len(up))]
-    ).reshape(len(up), p, p)
-    a_minus = np.array(
-        [[[float(plus_part[p + i][p + j][k]) for j in range(q)] for i in range(q)] for k in range(len(up))]
-    ).reshape(len(up), q, q)
-    d_block = np.array(
-        [[[float(minus_part[p + i][j][k]) for j in range(p)] for i in range(q)] for k in range(len(um))]
-    ).reshape(len(um), q, p)
-
-    # L blocks
-    lmat = ratl.frac_matrix(rs.L)
-    l_cols_plus = [u_split(ratl.mat_vec(lmat, v)) for v in v_all[:p]]
-    l_cols_minus = [u_split(ratl.mat_vec(lmat, v)) for v in v_all[p:]]
-    l_pp = np.array(
-        [[float(l_cols_plus[i][0][k]) for i in range(p)] for k in range(len(up))]
-    ).reshape(len(up), p)
-    l_mp = np.array(
-        [[float(l_cols_plus[i][1][k]) for i in range(p)] for k in range(len(um))]
-    ).reshape(len(um), p)
-    l_pm = np.array(
-        [[float(l_cols_minus[i][0][k]) for i in range(q)] for k in range(len(up))]
-    ).reshape(len(up), q)
-    l_mm = np.array(
-        [[float(l_cols_minus[i][1][k]) for i in range(q)] for k in range(len(um))]
-    ).reshape(len(um), q)
+    # exact U+ then U- coordinates of the form on eigenbasis pairs and of L,
+    # copied to C order so that the float blocks keep their memory layout
+    u = len(up)
+    vals = np.array(
+        [[ratl.solve(w, form_values(datum, x, y)) for y in v_all] for x in v_all], dtype=object
+    ).transpose(2, 0, 1).copy()
+    for block, name in (
+        (vals[:u, :p, p:], "U+ part on V+ x V-"),
+        (vals[u:, :p, :p], "U- part on V+ x V+"),
+        (vals[u:, p:, p:], "U- part on V- x V-"),
+    ):
+        if np.any(block != 0):
+            raise ValueError(f"eigenspace block structure violated: {name} is nonzero")
+    a_plus = vals[:u, :p, :p].astype(float)
+    a_minus = vals[:u, p:, p:].astype(float)
+    d_block = vals[u:, p:, :p].astype(float)
+    lvals = np.array([ratl.solve(w, ratl.mat_vec(rs.L, v)) for v in v_all], dtype=object).T.copy()
+    l_pp, l_pm = lvals[:u, :p].astype(float), lvals[:u, p:].astype(float)
+    l_mp, l_mm = lvals[u:, :p].astype(float), lvals[u:, p:].astype(float)
 
     basis_vp = np.array(vp, dtype=int).T if p else np.zeros((2 * m, 0), dtype=int)
     basis_vm = np.array(vm, dtype=int).T if q else np.zeros((2 * m, 0), dtype=int)
@@ -664,12 +610,10 @@ def eigensplit(datum: BundleDatum, rs: RealStructureData) -> EigenSplit:
     rebuilt = np.zeros_like(comps)
     wmat = np.column_stack([basis_up.astype(float), basis_um.astype(float)])
     for k in range(len(up)):
-        contrib = (
-            zp.T @ _unstack(a_plus, k) @ zp + zm.T @ _unstack(a_minus, k) @ zm
-        )
+        contrib = zp.T @ a_plus[k] @ zp + zm.T @ a_minus[k] @ zm
         rebuilt += np.einsum("u,rs->urs", wmat[:, k], contrib)
     for k in range(len(um)):
-        dk = _unstack(d_block, k)
+        dk = d_block[k]
         contrib = zm.T @ dk @ zp - zp.T @ dk.T @ zm
         rebuilt += np.einsum("u,rs->urs", wmat[:, len(up) + k], contrib)
     scale = max(1.0, float(np.max(np.abs(comps))))
@@ -700,10 +644,6 @@ def eigensplit(datum: BundleDatum, rs: RealStructureData) -> EigenSplit:
         reassembly_residual=reassembly,
         gamma_residual=gamma_res,
     )
-
-
-def _unstack(block: np.ndarray, k: int) -> np.ndarray:
-    return block[k]
 
 
 def _solve_coupling_generator(a_plus, d_block, l_pp, l_mm, basis_vp):
@@ -945,11 +885,7 @@ def orbifold_data(
     translates by (L d2 + A1 d1 + d1, A2 d2 + d2).
     """
     m, d = datum.m, datum.d
-    a1 = ratl.frac_matrix(rs.A1)
-    a2 = ratl.frac_matrix(rs.A2)
-    lmat = ratl.frac_matrix(rs.L)
-    d1 = ratl.frac_vector(rs.d1)
-    d2 = ratl.frac_vector(rs.d2)
+    a1, a2, lmat, d1, d2 = rs.A1, rs.A2, rs.L, rs.d1, rs.d2
     n = 2 * m
     if lifts is None:
         lifts = tuple(tuple(Fraction(0) for _ in range(2 * d)) for _ in range(n))
@@ -957,13 +893,10 @@ def orbifold_data(
     a2d2 = ratl.mat_vec(a2, d2)
     gens = []
     for j in range(n):
-        ej = [Fraction(int(t == j)) for t in range(n)]
-        a2ej = ratl.mat_vec(a2, ej)
-        aval = list(form_values(datum, a2d2, a2ej))
+        aval = form_values(datum, a2d2, [row[j] for row in a2])
         term = ratl.mat_vec(a1, aval)
-        lej = ratl.mat_vec(lmat, ej)
-        al = ratl.mat_vec(a1, list(lifts[j]))
-        gens.append(tuple(-t + le + a for t, le, a in zip(term, lej, al)))
+        al = ratl.mat_vec(a1, lifts[j])
+        gens.append(tuple(-t + row[j] + a for t, row, a in zip(term, lmat, al)))
     sq_y = tuple(
         a + b + c for a, b, c in zip(ratl.mat_vec(lmat, d2), ratl.mat_vec(a1, d1), d1)
     )
@@ -971,7 +904,7 @@ def orbifold_data(
     return OrbifoldConjugationData(
         A1=rs.A1,
         A2=rs.A2,
-        d2=tuple(d2),
+        d2=d2,
         generator_translations=tuple(gens),
         square_translation_y=sq_y,
         square_translation_x=sq_x,
@@ -995,9 +928,7 @@ def reconstruct_from_orbifold(
         raise ValueError("inconsistent data: A1 squared is not the identity")
     if not _is_involution(data.A2):
         raise ValueError("inconsistent data: A2 squared is not the identity")
-    a1 = ratl.frac_matrix(data.A1)
-    a2 = ratl.frac_matrix(data.A2)
-    d2 = ratl.frac_vector(data.d2)
+    a1, a2, d2 = data.A1, data.A2, data.d2
     sqx = [a + b for a, b in zip(ratl.mat_vec(a2, d2), d2)]
     if list(data.square_translation_x) != sqx:
         raise ValueError(
@@ -1006,12 +937,10 @@ def reconstruct_from_orbifold(
     a2d2 = ratl.mat_vec(a2, d2)
     l_cols = []
     for j in range(n):
-        ej = [Fraction(int(t == j)) for t in range(n)]
-        a2ej = ratl.mat_vec(a2, ej)
-        aval = list(form_values(datum, a2d2, a2ej))
+        aval = form_values(datum, a2d2, [row[j] for row in a2])
         term = ratl.mat_vec(a1, aval)
-        al = ratl.mat_vec(a1, list(data.lifts[j]))
-        t_j = list(data.generator_translations[j])
+        al = ratl.mat_vec(a1, data.lifts[j])
+        t_j = data.generator_translations[j]
         l_cols.append([t + tm - a for t, tm, a in zip(t_j, term, al)])
     lmat = ratl.transpose(l_cols)
     ld2 = ratl.mat_vec(lmat, d2)

@@ -37,6 +37,26 @@ def random_rational_vector(rng: random.Random, n: int):
 
 
 # ---------------------------------------------------------------------------
+# pfaffian by expansion along the first row, (2m - 1)!! terms
+
+
+def pfaffian_expansion(mat) -> Fraction:
+    """Pfaffian of an antisymmetric matrix by its defining row expansion."""
+    n = len(mat)
+    if n == 0:
+        return Fraction(1)
+    total = Fraction(0)
+    sign = 1
+    for j in range(1, n):
+        if mat[0][j] != 0:
+            rows = [i for i in range(1, n) if i != j]
+            minor = [[mat[a][b] for b in rows] for a in rows]
+            total += sign * mat[0][j] * pfaffian_expansion(minor)
+        sign = -sign
+    return total
+
+
+# ---------------------------------------------------------------------------
 # dense sweep over the projective line for binary forms
 
 

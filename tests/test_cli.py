@@ -272,6 +272,49 @@ def test_bad_numbers_exit_2(tmp_path, capsys):
     assert "invalid real structure" in err
 
 
+def test_boolean_entries_exit_2(tmp_path, capsys):
+    # JSON true used to pass as the integer 1
+    doc = json.loads(json.dumps(KOD))
+    doc["components"][0][0][1] = True
+    rc, _, err = run(tmp_path, capsys, "check-bundle", doc)
+    assert rc == 2
+    assert "components[0][0][1] is not an integer" in err
+    doc = json.loads(json.dumps(KOD))
+    doc["real_structure"]["A2"][0][0] = True
+    rc, _, err = run(tmp_path, capsys, "check-real", doc)
+    assert rc == 2
+    assert "A2[0][0] is not an integer" in err
+
+
+def test_reconstruct_short_generator_translations_exit_2(tmp_path, capsys):
+    # one translation where m = 1 needs two used to raise IndexError
+    doc = json.loads(json.dumps(KOD))
+    doc["orbifold"] = {
+        "A1": [[-1, 0], [0, 1]],
+        "A2": [[1, 0], [0, -1]],
+        "d2": [0, 0],
+        "generator_translations": [[0, 0]],
+        "square_translation_y": [0, 0],
+        "square_translation_x": [0, 0],
+    }
+    rc, _, err = run(tmp_path, capsys, "reconstruct", doc)
+    assert rc == 2
+    assert "generator_translations must be 2 x 2" in err
+
+
+def test_decompose_huge_structure_exit_2(tmp_path, capsys):
+    # squaring 1e300 used to raise OverflowError
+    doc = json.loads(json.dumps(KOD))
+    doc["J2"] = [[0, 1e300], [-1e300, 0]]
+    rc, _, err = run(tmp_path, capsys, "decompose", doc)
+    assert rc == 2
+    assert "invalid complex structure pair" in err
+    doc["J2"] = [[0, float("nan")], [-1, 0]]
+    rc, _, err = run(tmp_path, capsys, "decompose", doc)
+    assert rc == 2
+    assert "finite" in err
+
+
 def test_unknown_command_rejected():
     with pytest.raises(SystemExit) as info:
         main(["frobnicate", "anything.json"])
