@@ -231,20 +231,29 @@ def _primitive_integer(v):
     return ints
 
 
+def primitive_kernel(mat):
+    """Echelon kernel vectors, each a primitive integer vector, in lexicographic order.
+
+    They span ker(mat) over Q but may span only a sublattice of
+    ker(mat) meet Z^n; integer_kernel returns the whole lattice.
+    """
+    return sorted(_primitive_integer(v) for v in kernel(mat))
+
+
 def integer_kernel(mat):
     """Lattice basis of ker(mat) meet Z^n, ordered lexicographically.
 
-    The echelon kernel vectors, each scaled to a primitive integer vector,
-    are returned as they are when they span the whole lattice.  They may
-    not: a combination of them can be a multiple of a lattice vector (index
-    2 or 3 for conjugates of diag(1, 1, -1, -1) on Z^4).  The lattice is
+    The primitive echelon kernel vectors are returned as they are when they
+    span the whole lattice.  They may not: a combination of them can be a
+    multiple of a lattice vector (index 2 or 3 for conjugates of
+    diag(1, 1, -1, -1) on Z^4).  The lattice is
     found as in Cohen, A Course in Computational Algebraic Number Theory,
     2.4.10: unimodular column operations bring mat to echelon form, and the
     operation columns past its rank span the integer kernel.  Two bases span
     the same lattice when their Hermite normal forms agree; when they do
     not, the Hermite normal form of the lattice is returned.
     """
-    basis = sorted(_primitive_integer(v) for v in kernel(mat))
+    basis = primitive_kernel(mat)
     if not basis:
         return basis
     n = len(basis[0])

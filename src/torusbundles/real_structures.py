@@ -532,18 +532,23 @@ class EigenSplit:
         return self.basis_U_minus.shape[1]
 
 
-def _eigenbasis(mat, sign: int):
-    """Lattice basis of ker(mat - sign I) in Z^n, lexicographic order."""
+def _eigenbasis(mat, sign: int, saturate: bool):
+    """Integer basis of ker(mat - sign I), lexicographic order; a lattice
+    basis of its integer points when saturate is true."""
     shifted = [
         [x - (sign if i == j else 0) for j, x in enumerate(row)] for i, row in enumerate(mat)
     ]
-    return ratl.integer_kernel(shifted)
+    return (ratl.integer_kernel if saturate else ratl.primitive_kernel)(shifted)
 
 
-def eigensplit(datum: BundleDatum, rs: RealStructureData) -> EigenSplit:
+def eigensplit(datum: BundleDatum, rs: RealStructureData, saturate: bool = False) -> EigenSplit:
     """Reduce (A, L) to eigenspace blocks of the involution pair.
 
-    Exact integer kernels give the eigenbases; the block structure of the
+    Exact integer kernels give the eigenbases.  By default they are the
+    primitive echelon kernel vectors, which may span a sublattice of index
+    2 or 3 of the eigenspace's integer points; with saturate=True they are
+    lattice bases (_rational.integer_kernel).  The two agree whenever the
+    echelon basis is already a lattice basis.  The block structure of the
     form (each value splits cleanly into its U+ and U- parts according to
     the base eigenspace signs) is verified exactly and a violation raises,
     since it signals data that does not satisfy the equivariance condition.
@@ -559,10 +564,10 @@ def eigensplit(datum: BundleDatum, rs: RealStructureData) -> EigenSplit:
     gamma_hat_plus is None and a note explains.
     """
     m, d = datum.m, datum.d
-    vp = _eigenbasis(rs.A2, 1)
-    vm = _eigenbasis(rs.A2, -1)
-    up = _eigenbasis(rs.A1, 1)
-    um = _eigenbasis(rs.A1, -1)
+    vp = _eigenbasis(rs.A2, 1, saturate)
+    vm = _eigenbasis(rs.A2, -1, saturate)
+    up = _eigenbasis(rs.A1, 1, saturate)
+    um = _eigenbasis(rs.A1, -1, saturate)
     p, q = len(vp), len(vm)
     if p + q != 2 * m or len(up) + len(um) != 2 * d:
         raise ValueError("eigenspaces do not span; involution data inconsistent")

@@ -15,6 +15,7 @@ import pytest
 
 from torusbundles import _rational as ratl
 from torusbundles.lattice_core import BundleDatum, pfaffian, pfaffian_reality
+from torusbundles.real_structures import RealStructureData, eigensplit
 
 from _oracles import pfaffian_expansion, random_antisymmetric
 
@@ -172,3 +173,28 @@ def test_integer_kernel_keeps_saturated_echelon_basis():
             assert basis == echelon
             kept += 1
     assert kept > 100
+
+
+def test_eigensplit_saturate_gives_lattice_bases():
+    # the m = 2 datum whose form splits on the eigenspaces of diag(1, 1, -1, -1),
+    # moved to the frame x = T x' (components T^T C_k T)
+    comps = (((0, 0, -1, -1), (0, 0, 0, -1), (1, 0, 0, 0), (1, 1, 0, 0)),
+             ((0, 1, 0, 0), (-1, 0, 0, 0), (0, 0, 0, 2), (0, 0, -2, 0)))
+    diag = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]]
+    indices = []
+    for t in UNSATURATED_FRAMES:
+        t_inv = ratl.inverse(ratl.frac_matrix(t))
+        a2 = tuple(tuple(int(x) for x in row) for row in ratl.mat_mul(ratl.mat_mul(t_inv, diag), t))
+        datum = BundleDatum(m=2, d=1, components=tuple(
+            tuple(map(tuple, ratl.mat_mul(ratl.mat_mul(ratl.transpose(t), c), t))) for c in comps))
+        rs = RealStructureData(A1=((-1, 0), (0, 1)), A2=a2, L=((0,) * 4,) * 2,
+                               d1=(0, 0), d2=(0,) * 4)
+        echelon, saturated = eigensplit(datum, rs), eigensplit(datum, rs, saturate=True)
+        for name in ("basis_V_plus", "basis_V_minus"):
+            basis = getattr(saturated, name).T.tolist()
+            assert _max_minor_gcd(basis) == 1
+            sign = 1 if name == "basis_V_plus" else -1
+            assert all(ratl.mat_vec(a2, v) == [sign * x for x in v] for v in basis)
+            indices.append(_max_minor_gcd(getattr(echelon, name).T.tolist()))
+        assert saturated.basis_U_plus.tolist() == echelon.basis_U_plus.tolist()
+    assert sorted(indices)[-3:] == [2, 3, 3]
