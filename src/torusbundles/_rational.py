@@ -231,86 +231,14 @@ def _primitive_integer(v):
     return ints
 
 
-def primitive_kernel(mat):
-    """Echelon kernel vectors, each a primitive integer vector, in lexicographic order.
+def integer_kernel(mat):
+    """Primitive integer basis of the null space, ordered lexicographically.
 
-    They span ker(mat) over Q but may span only a sublattice of
-    ker(mat) meet Z^n; integer_kernel returns the whole lattice.
+    Each echelon kernel vector is made primitive on its own, so the basis
+    spans ker(mat) over Q but may span only a sublattice of ker(mat) meet
+    Z^n (index 2 or 3 for some conjugates of diag(1, 1, -1, -1) on Z^4).
     """
     return sorted(_primitive_integer(v) for v in kernel(mat))
-
-
-def integer_kernel(mat):
-    """Lattice basis of ker(mat) meet Z^n, ordered lexicographically.
-
-    The primitive echelon kernel vectors are returned as they are when they
-    span the whole lattice.  They may not: a combination of them can be a
-    multiple of a lattice vector (index 2 or 3 for conjugates of
-    diag(1, 1, -1, -1) on Z^4).  The lattice is
-    found as in Cohen, A Course in Computational Algebraic Number Theory,
-    2.4.10: unimodular column operations bring mat to echelon form, and the
-    operation columns past its rank span the integer kernel.  Two bases span
-    the same lattice when their Hermite normal forms agree; when they do
-    not, the Hermite normal form of the lattice is returned.
-    """
-    basis = primitive_kernel(mat)
-    if not basis:
-        return basis
-    n = len(basis[0])
-    rows = [_primitive_integer(row) for row in mat]  # same kernel, integer rows
-    height = len(rows)
-    # columns of mat stacked on the identity, which records the operations
-    cols = [[row[j] for row in rows] + [int(i == j) for i in range(n)] for j in range(n)]
-    rk = _hermite(cols, height)
-    lattice = [col[height:] for col in cols[rk:]]
-    _hermite(lattice, n)
-    spanned = [v[:] for v in basis]
-    _hermite(spanned, n)
-    return basis if spanned == lattice else sorted(lattice)
-
-
-def _hermite(cols, height):
-    """Column Hermite normal form of integer columns, in place; returns the rank.
-
-    Unimodular column operations, decided on the first `height` entries of
-    each column and applied to all of them, give each of the first rank
-    columns a positive pivot, its first nonzero entry, in a row where every
-    later column has a zero and every earlier column an entry in [0, pivot).
-    """
-    rk = 0
-    for row in range(height):
-        if rk == len(cols):
-            break
-        for j in range(rk + 1, len(cols)):
-            b = cols[j][row]
-            if b:
-                a = cols[rk][row]
-                g, x, y = _xgcd(a, b)
-                u, w = cols[rk], cols[j]
-                cols[rk] = [x * s + y * t for s, t in zip(u, w)]
-                cols[j] = [(a // g) * t - (b // g) * s for s, t in zip(u, w)]
-        pivot = cols[rk][row]
-        if pivot == 0:
-            continue
-        if pivot < 0:
-            cols[rk] = [-s for s in cols[rk]]
-            pivot = -pivot
-        for j in range(rk):
-            q = cols[j][row] // pivot
-            if q:
-                cols[j] = [s - q * t for s, t in zip(cols[j], cols[rk])]
-        rk += 1
-    return rk
-
-
-def _xgcd(a, b):
-    """(g, x, y) with g = gcd(a, b) >= 0 and x a + y b = g."""
-    x0, y0, x1, y1 = 1, 0, 0, 1
-    while b:
-        q, a, b = a // b, b, a % b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    return (a, x0, y0) if a >= 0 else (-a, -x0, -y0)
 
 
 def inverse(mat):

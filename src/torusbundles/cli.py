@@ -156,7 +156,7 @@ def _load_system(doc) -> ConstraintSystem:
         datum = _load_datum(doc)
         rs = _load_real_structure(doc)
         try:
-            return ConstraintSystem.from_split(eigensplit(datum, rs, saturate=True))
+            return ConstraintSystem.from_split(eigensplit(datum, rs))
         except ValueError as exc:
             raise InputError(f"cannot derive a system from the real structure: {exc}") from exc
     raise InputError("need a 'system' block or a 'real_structure' block")

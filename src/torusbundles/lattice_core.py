@@ -144,13 +144,13 @@ def lower_triangular_split(datum: BundleDatum) -> NormalizationDatum:
     return NormalizationDatum(T_minus=tuple(t_minus), S=tuple(s))
 
 
-def form_values(datum, x, y):
-    """The vector (A_1(x, y), ..., A_2d(x, y)) of exact form values.
+def form_values(datum: BundleDatum, x, y):
+    """The vector (A_1(x, y), ..., A_2d(x, y)) of exact form values."""
+    return _bilinear_values(datum.components, x, y)
 
-    datum is a BundleDatum, or any sequence of square matrices, such as the
-    T_minus or S of a NormalizationDatum.
-    """
-    mats = datum.components if isinstance(datum, BundleDatum) else datum
+
+def _bilinear_values(mats, x, y):
+    """The exact values x^T M y for each square matrix M in mats."""
     xf = ratl.frac_vector(x)
     yf = ratl.frac_vector(y)
     return tuple(ratl.vec_mat_vec(xf, mat, yf) for mat in mats)
@@ -162,7 +162,7 @@ def group_identity(datum: BundleDatum) -> GroupElement:
 
 def group_multiply(g: GroupElement, h: GroupElement, norm: NormalizationDatum) -> GroupElement:
     """(y, x)(y', x') = (y + y' + T-(x, x'), x + x')."""
-    tvals = form_values(norm.T_minus, g.x, h.x)
+    tvals = _bilinear_values(norm.T_minus, g.x, h.x)
     y = tuple(a + b + t for a, b, t in zip(g.y, h.y, tvals))
     x = tuple(a + b for a, b in zip(g.x, h.x))
     return GroupElement(y=y, x=x, is_lattice=g.is_lattice and h.is_lattice)
@@ -170,7 +170,7 @@ def group_multiply(g: GroupElement, h: GroupElement, norm: NormalizationDatum) -
 
 def group_inverse(g: GroupElement, norm: NormalizationDatum) -> GroupElement:
     """(y, x)^(-1) = (-y + T-(x, x), -x)."""
-    tvals = form_values(norm.T_minus, g.x, g.x)
+    tvals = _bilinear_values(norm.T_minus, g.x, g.x)
     y = tuple(-a + t for a, t in zip(g.y, tvals))
     x = tuple(-a for a in g.x)
     return GroupElement(y=y, x=x, is_lattice=g.is_lattice)
@@ -188,7 +188,7 @@ def t_minus_action(p: GroupElement, gamma_hat: GroupElement, norm: Normalization
     """Right translation by the zero-lift of a lattice vector in raw coordinates."""
     if not gamma_hat.is_lattice:
         raise ValueError("action is only defined for lattice elements")
-    tvals = form_values(norm.T_minus, p.x, gamma_hat.x)
+    tvals = _bilinear_values(norm.T_minus, p.x, gamma_hat.x)
     y = tuple(a + g + t for a, g, t in zip(p.y, gamma_hat.y, tvals))
     x = tuple(a + b for a, b in zip(p.x, gamma_hat.x))
     return GroupElement(y=y, x=x, is_lattice=p.is_lattice)
@@ -196,13 +196,13 @@ def t_minus_action(p: GroupElement, gamma_hat: GroupElement, norm: Normalization
 
 def psi(p: GroupElement, norm: NormalizationDatum) -> GroupElement:
     """Psi(y, x) = (2 (y + S(x, x)), x)."""
-    svals = form_values(norm.S, p.x, p.x)
+    svals = _bilinear_values(norm.S, p.x, p.x)
     y = tuple(2 * (a + s) for a, s in zip(p.y, svals))
     return GroupElement(y=y, x=p.x, is_lattice=False)
 
 
 def psi_inverse(p: GroupElement, norm: NormalizationDatum) -> GroupElement:
-    svals = form_values(norm.S, p.x, p.x)
+    svals = _bilinear_values(norm.S, p.x, p.x)
     y = tuple(a / 2 - s for a, s in zip(p.y, svals))
     return GroupElement(y=y, x=p.x, is_lattice=False)
 
@@ -228,7 +228,7 @@ def normalized_action(
     if norm is None:
         norm = lower_triangular_split(datum)
     avals = form_values(datum, p.x, gamma_hat.x)
-    svals = form_values(norm.S, gamma_hat.x, gamma_hat.x)
+    svals = _bilinear_values(norm.S, gamma_hat.x, gamma_hat.x)
     y = tuple(
         a + 2 * gy + av + 2 * sv
         for a, gy, av, sv in zip(p.y, gamma_hat.y, avals, svals)

@@ -488,11 +488,10 @@ def check_dianalytic_conditions(
 class EigenSplit:
     """Block data of (A, L) on the +1/-1 eigenspaces of (A1, A2).
 
-    basis_V_plus and friends hold integer basis columns of the lattice of
-    integer points of each eigenspace.  A_plus, A_minus collect the U+
-    valued blocks of the form on V+ x V+ and V- x V-, D the U- valued block
-    on V- x V+; the U- block on V+ x V- is minus the transpose of D and is
-    not stored.  L_pp, L_pm,
+    basis_V_plus and friends hold primitive integer basis columns of the
+    eigenspaces.  A_plus, A_minus collect the U+ valued blocks of the form
+    on V+ x V+ and V- x V-, D the U- valued block on V- x V+; the U- block
+    on V+ x V- is minus the transpose of D and is not stored.  L_pp, L_pm,
     L_mp, L_mm are the eigenblocks of L (superscript fiber sign, subscript
     base sign).  gamma_hat_plus is the ambient integer vector in V+ that
     generates the coupling blocks, when one exists.
@@ -532,23 +531,18 @@ class EigenSplit:
         return self.basis_U_minus.shape[1]
 
 
-def _eigenbasis(mat, sign: int, saturate: bool):
-    """Integer basis of ker(mat - sign I), lexicographic order; a lattice
-    basis of its integer points when saturate is true."""
+def _eigenbasis(mat, sign: int):
+    """Primitive integer basis of ker(mat - sign I), lexicographic order."""
     shifted = [
         [x - (sign if i == j else 0) for j, x in enumerate(row)] for i, row in enumerate(mat)
     ]
-    return (ratl.integer_kernel if saturate else ratl.primitive_kernel)(shifted)
+    return ratl.integer_kernel(shifted)
 
 
-def eigensplit(datum: BundleDatum, rs: RealStructureData, saturate: bool = False) -> EigenSplit:
+def eigensplit(datum: BundleDatum, rs: RealStructureData) -> EigenSplit:
     """Reduce (A, L) to eigenspace blocks of the involution pair.
 
-    Exact integer kernels give the eigenbases.  By default they are the
-    primitive echelon kernel vectors, which may span a sublattice of index
-    2 or 3 of the eigenspace's integer points; with saturate=True they are
-    lattice bases (_rational.integer_kernel).  The two agree whenever the
-    echelon basis is already a lattice basis.  The block structure of the
+    Exact integer kernels give the eigenbases; the block structure of the
     form (each value splits cleanly into its U+ and U- parts according to
     the base eigenspace signs) is verified exactly and a violation raises,
     since it signals data that does not satisfy the equivariance condition.
@@ -564,10 +558,10 @@ def eigensplit(datum: BundleDatum, rs: RealStructureData, saturate: bool = False
     gamma_hat_plus is None and a note explains.
     """
     m, d = datum.m, datum.d
-    vp = _eigenbasis(rs.A2, 1, saturate)
-    vm = _eigenbasis(rs.A2, -1, saturate)
-    up = _eigenbasis(rs.A1, 1, saturate)
-    um = _eigenbasis(rs.A1, -1, saturate)
+    vp = _eigenbasis(rs.A2, 1)
+    vm = _eigenbasis(rs.A2, -1)
+    up = _eigenbasis(rs.A1, 1)
+    um = _eigenbasis(rs.A1, -1)
     p, q = len(vp), len(vm)
     if p + q != 2 * m or len(up) + len(um) != 2 * d:
         raise ValueError("eigenspaces do not span; involution data inconsistent")

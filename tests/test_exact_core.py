@@ -1,48 +1,23 @@
 """The integer core of the exact layer against independent references.
 
 The pfaffian is checked against its row expansion and against the
-determinant, the integer rank against elimination over Fractions, and the
-integer kernel against the gcd of its maximal minors, which is 1 exactly
-when a basis spans every integer point of its rational span.
+determinant, and the integer rank against elimination over Fractions.
 """
 
-import math
 import random
 import time
-from itertools import combinations
 
 import pytest
 
 from torusbundles import _rational as ratl
 from torusbundles.lattice_core import BundleDatum, pfaffian, pfaffian_reality
-from torusbundles.real_structures import RealStructureData, eigensplit
 
 from _oracles import pfaffian_expansion, random_antisymmetric
-
-# T with T^-1 diag(1, 1, -1, -1) T an involution whose echelon eigenbases
-# have index 3, 3 and 2 in their lattices (the frames of bench/pools.py)
-UNSATURATED_FRAMES = (
-    ((2, -2, -1, 0), (-1, 1, 0, 0), (-1, 2, 2, 0), (-1, -1, 0, 1)),
-    ((-1, 1, 0, 2), (0, -1, 1, -1), (1, -2, 1, -2), (-1, -1, 1, 1)),
-    ((0, 1, 1, -1), (-2, 2, 1, -1), (2, 0, 1, -2), (-1, 1, 1, -1)),
-)
 
 
 def _congruent(p, core):
     """P core P^T for an integer n x k matrix P and a k x k matrix core."""
     return ratl.mat_mul(ratl.mat_mul(p, core), ratl.transpose(p))
-
-
-def _max_minor_gcd(basis):
-    k = len(basis)
-    g = 0
-    for cols in combinations(range(len(basis[0])), k):
-        g = math.gcd(g, int(ratl.det(ratl.frac_matrix([[v[c] for c in cols] for v in basis]))))
-    return g
-
-
-def _echelon_basis(mat):
-    return sorted(ratl._primitive_integer(v) for v in ratl.kernel(ratl.frac_matrix(mat)))
 
 
 def test_pfaffian_matches_expansion_oracle():
@@ -134,67 +109,3 @@ def test_pfaffian_reality_m7_within_budget():
     assert time.perf_counter() - t0 < 2.0
     # a real binary form of odd degree always has a real root
     assert verdict is True
-
-
-def test_integer_kernel_saturates_unsaturated_frames():
-    diag = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]]
-    indices = []
-    for t in UNSATURATED_FRAMES:
-        t_inv = ratl.inverse(ratl.frac_matrix(t))
-        a2 = [[int(x) for x in row] for row in ratl.mat_mul(ratl.mat_mul(t_inv, diag), t)]
-        for sign in (1, -1):
-            shifted = [[x - (sign if i == j else 0) for j, x in enumerate(row)]
-                       for i, row in enumerate(a2)]
-            basis = ratl.integer_kernel(shifted)
-            assert len(basis) == 2
-            assert all(x == 0 for v in basis for x in ratl.mat_vec(shifted, v))
-            assert _max_minor_gcd(basis) == 1
-            indices.append(_max_minor_gcd(_echelon_basis(shifted)))
-    assert sorted(indices)[-3:] == [2, 3, 3]
-
-
-def test_integer_kernel_keeps_saturated_echelon_basis():
-    rng = random.Random(127)
-    kept = 0
-    for _ in range(200):
-        rows, cols = rng.randint(1, 4), rng.randint(2, 6)
-        k = rng.randint(1, min(rows, cols))
-        left = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(rows)]
-        right = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(k)]
-        mat = ratl.mat_mul(left, right)
-        echelon = _echelon_basis(mat)
-        basis = ratl.integer_kernel(mat)
-        assert len(basis) == len(echelon)
-        if not basis:
-            continue
-        assert all(x == 0 for v in basis for x in ratl.mat_vec(mat, v))
-        assert _max_minor_gcd(basis) == 1
-        if _max_minor_gcd(echelon) == 1:
-            assert basis == echelon
-            kept += 1
-    assert kept > 100
-
-
-def test_eigensplit_saturate_gives_lattice_bases():
-    # the m = 2 datum whose form splits on the eigenspaces of diag(1, 1, -1, -1),
-    # moved to the frame x = T x' (components T^T C_k T)
-    comps = (((0, 0, -1, -1), (0, 0, 0, -1), (1, 0, 0, 0), (1, 1, 0, 0)),
-             ((0, 1, 0, 0), (-1, 0, 0, 0), (0, 0, 0, 2), (0, 0, -2, 0)))
-    diag = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]]
-    indices = []
-    for t in UNSATURATED_FRAMES:
-        t_inv = ratl.inverse(ratl.frac_matrix(t))
-        a2 = tuple(tuple(int(x) for x in row) for row in ratl.mat_mul(ratl.mat_mul(t_inv, diag), t))
-        datum = BundleDatum(m=2, d=1, components=tuple(
-            tuple(map(tuple, ratl.mat_mul(ratl.mat_mul(ratl.transpose(t), c), t))) for c in comps))
-        rs = RealStructureData(A1=((-1, 0), (0, 1)), A2=a2, L=((0,) * 4,) * 2,
-                               d1=(0, 0), d2=(0,) * 4)
-        echelon, saturated = eigensplit(datum, rs), eigensplit(datum, rs, saturate=True)
-        for name in ("basis_V_plus", "basis_V_minus"):
-            basis = getattr(saturated, name).T.tolist()
-            assert _max_minor_gcd(basis) == 1
-            sign = 1 if name == "basis_V_plus" else -1
-            assert all(ratl.mat_vec(a2, v) == [sign * x for x in v] for v in basis)
-            indices.append(_max_minor_gcd(getattr(echelon, name).T.tolist()))
-        assert saturated.basis_U_plus.tolist() == echelon.basis_U_plus.tolist()
-    assert sorted(indices)[-3:] == [2, 3, 3]
