@@ -45,9 +45,14 @@ def _as_square(mat, name: str) -> np.ndarray:
 
 
 def _check_complex_structure(J: np.ndarray, name: str, tol: float = 1e-12):
+    """J^2 = -I to tol relative to max(1, max |J_ij|)^2, tested on J scaled
+    exactly by a power of two so that squaring cannot overflow."""
+    if not np.isfinite(J).all():
+        raise ValueError(f"{name} entries must be finite numbers")
     n = J.shape[0]
-    scale = max(1.0, float(np.max(np.abs(J))) ** 2)
-    if np.max(np.abs(J @ J + np.eye(n))) > tol * scale:
+    top, e = np.frexp(max(1.0, float(np.max(np.abs(J)))))
+    k = np.ldexp(J, -e)
+    if np.max(np.abs(k @ k + np.ldexp(np.eye(n), -2 * e))) > tol * (top * top):
         raise ValueError(f"{name} does not square to minus the identity")
 
 

@@ -237,3 +237,38 @@ def _numeric_jacobian(sysdata, x, h: float = 1e-7):
         xp[i] += h
         jac[:, i] = (threefold_equations(sysdata, xp[0], xp[1:].reshape(2, 2)) - f0) / h
     return jac
+
+
+# ---------------------------------------------------------------------------
+# D1, D7 and D8 as float memberships in the projected lattices
+
+
+def _float_member(frame, ambient, tol):
+    """Integer coordinates of the projection of an ambient vector over the
+    projected standard lattice, by a float solve and rounding, or None."""
+    pi = frame.plus_coords(np.eye(frame.J.shape[0]))
+    coords = frame.plus_coords(np.asarray(ambient, dtype=complex))
+    z = np.linalg.solve(np.vstack([pi.real, pi.imag]), np.concatenate([coords.real, coords.imag]))
+    return np.round(z).astype(int) if np.max(np.abs(z - np.round(z))) <= tol else None
+
+
+def float_lattice_labels(dec, rs, tol: float = 1e-8) -> dict:
+    """D1, D7 and D8 decided in the frames of a decomposition, in floats.
+
+    D1: the images A conj(p(e)) of the lattice generators are projected
+    lattice vectors with a unimodular coordinate matrix.  D7, D8: the
+    projections of A2 d2 + d2 and A1 d1 + L d2 + d1 are projected lattice
+    vectors.
+    """
+    f1, f2 = dec._frame1, dec._frame2
+    a1, a2, lmat, d1, d2 = rs.a1_array(), rs.a2_array(), rs.l_array(), rs.d1_array(), rs.d2_array()
+    ok1 = True
+    for frame, a in ((f1, a1), (f2, a2)):
+        images = [_float_member(frame, a @ np.conj(frame.project_plus(e)), tol) for e in np.eye(len(a))]
+        ok1 = ok1 and all(z is not None for z in images)
+        ok1 = ok1 and abs(round(float(np.linalg.det(np.array(images, dtype=float).T)))) == 1
+    return {
+        "D1": ok1,
+        "D7": _float_member(f2, f2.project_plus(a2 @ d2 + d2), tol) is not None,
+        "D8": _float_member(f1, f1.project_plus(a1 @ d1 + lmat @ d2 + d1), tol) is not None,
+    }

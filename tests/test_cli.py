@@ -302,6 +302,46 @@ def test_reconstruct_short_generator_translations_exit_2(tmp_path, capsys):
     assert "generator_translations must be 2 x 2" in err
 
 
+def test_real_structure_sizes_exit_2(tmp_path, capsys):
+    # a 4 x 4 A1 used to pass reconstruct (exit 0), a 4 x 4 A2 to crash it
+    eye4 = [[int(i == j) for j in range(4)] for i in range(4)]
+    wide_a1 = {"A1": eye4, "L": [[0, 0]] * 4, "d1": [0] * 4}
+    wide_a2 = {"A2": eye4, "L": [[0] * 4] * 2, "d2": [0] * 4}
+    for field, change in (("A1", wide_a1), ("A2", wide_a2)):
+        doc = json.loads(json.dumps(KOD))
+        doc["real_structure"].update(change)
+        for command in ("check-real", "reconstruct", "solve"):
+            rc, _, err = run(tmp_path, capsys, command, doc)
+            assert rc == 2, (field, command)
+            assert f"{field} must be 2 x 2 for m = 1, d = 1" in err
+            assert len(err.strip().splitlines()) == 1
+    doc = json.loads(json.dumps(KOD))
+    doc["real_structure"]["d2"] = [[0], [0]]
+    rc, _, err = run(tmp_path, capsys, "check-real", doc)
+    assert rc == 2
+    assert "d2 must be 2 for m = 1, d = 1" in err
+    doc["real_structure"] = [1, 2]
+    rc, _, err = run(tmp_path, capsys, "reconstruct", doc)
+    assert rc == 2
+    assert "section 'real_structure' must be a JSON object" in err
+
+
+def test_orbifold_zero_denominator_exit_2(tmp_path, capsys):
+    # "1/0" used to escape as a ZeroDivisionError traceback
+    doc = json.loads(json.dumps(KOD))
+    doc["orbifold"] = {
+        "A1": [[-1, 0], [0, 1]],
+        "A2": [[1, 0], [0, -1]],
+        "d2": ["1/0", 0],
+        "generator_translations": [[0, 0], [0, 0]],
+        "square_translation_y": [0, 0],
+        "square_translation_x": [0, 0],
+    }
+    rc, _, err = run(tmp_path, capsys, "reconstruct", doc)
+    assert rc == 2
+    assert "invalid orbifold block" in err
+
+
 def test_decompose_huge_structure_exit_2(tmp_path, capsys):
     # squaring 1e300 used to raise OverflowError
     doc = json.loads(json.dumps(KOD))

@@ -240,3 +240,14 @@ def test_fiber_lattice_membership_detects_non_members():
     assert fiber_lattice_coordinates(dec, inside) is not None
     outside = inside + 0.37
     assert fiber_lattice_coordinates(dec, outside) is None
+
+
+def test_structure_check_scales_and_rejects_non_finite():
+    # J^2 = -I with entries 1e200 and 1e-200: squaring 1e200 used to overflow
+    pair = ComplexStructurePair(standard_structure(1), np.array([[0.0, 1e200], [-1e-200, 0.0]]))
+    assert pair.J2[0, 1] == 1e200
+    with pytest.raises(ValueError, match="does not square"):
+        ComplexStructurePair(standard_structure(1), np.array([[0.0, 1e300], [-1e300, 0.0]]))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="J2 entries must be finite"):
+            ComplexStructurePair(standard_structure(1), np.array([[0.0, -1.0], [1.0, bad]]))

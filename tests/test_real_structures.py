@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from torusbundles import _rational as ratl
-from torusbundles.complex_structures import ComplexStructurePair, standard_structure
+from torusbundles.complex_structures import ComplexStructurePair, decompose, standard_structure
 from torusbundles.lattice_core import BundleDatum
 from torusbundles.real_structures import (
     CompatibleStructure,
@@ -26,8 +26,11 @@ from torusbundles.real_structures import (
     tensor_equations_residuals,
 )
 
+from _oracles import float_lattice_labels
+
 J2 = ((0, 1), (-1, 0))
 Z2 = ((0, 0), (0, 0))
+Z4 = ((0,) * 4,) * 4
 KODAIRA = BundleDatum(m=1, d=1, components=(J2, Z2))
 
 # conjugation fixing the first base / second fiber coordinate
@@ -127,6 +130,97 @@ def test_dianalytic_detects_translation_defect():
     rep = check_dianalytic_conditions(prod, rs, STD_PAIR)
     assert not rep["D8"]["ok"]
     assert not rep["all_ok"]
+
+
+def test_translation_labels_reject_near_integers():
+    """D7 and D8 are I5 and I6: a translation 1e-9 off the lattice fails both."""
+    prod = BundleDatum(m=1, d=1, components=(Z2, Z2))
+    split = dict(A1=((1, 0), (0, -1)), A2=((1, 0), (0, -1)), L=Z2)
+    rs = RealStructureData(**split, d1=(0, 0), d2=("1/1000000000", 0))
+    assert not check_integral_conditions(prod, rs)["I5"]["ok"]
+    rep = check_dianalytic_conditions(prod, rs, STD_PAIR)
+    assert not rep["D7"]["ok"]
+    assert rep["D8"]["ok"]
+    rs = RealStructureData(**split, d1=("1/1000000000", 0), d2=(0, 0))
+    assert not check_integral_conditions(prod, rs)["I6"]["ok"]
+    rep = check_dianalytic_conditions(prod, rs, STD_PAIR)
+    assert rep["D7"]["ok"]
+    assert not rep["D8"]["ok"]
+
+
+def test_d1_exact_on_ill_conditioned_frame():
+    """A2 = U^-1 diag(1, -1) U and J2 = U^-1 J U with U = [[1, 1000], [0, 1]]:
+    a float solve in this frame misses the lattice by more than 1e-8."""
+    rs = RealStructureData(A1=((1, 0), (0, -1)), A2=((1, 2000), (0, -1)),
+                           L=Z2, d1=(0, 0), d2=(0, 0))
+    u = np.array([[1.0, 1000.0], [0.0, 1.0]])
+    pair = ComplexStructurePair(J1=standard_structure(1),
+                                J2=np.linalg.inv(u) @ standard_structure(1) @ u)
+    rep = check_dianalytic_conditions(KODAIRA, rs, pair)
+    assert rep["prerequisites"]["A2_diagonal_component"] <= 1e-8
+    assert rep["D1"]["ok"]
+    assert not float_lattice_labels(decompose(KODAIRA, pair), rs)["D1"]
+
+
+def _frame_pair(rng, k):
+    """An integer involution and a complex structure it anticommutes with:
+    diag(1, -1, ...) and the standard structure, moved by a unimodular U
+    made of 2k elementary moves with coefficients +-1 (kept small so that
+    float solves in the frame stay far inside 1e-8)."""
+    n = 2 * k
+    u = ratl.identity(n)
+    for _ in range(n):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-1, 1))
+        u[i] = [a + c * b for a, b in zip(u[i], u[j])]
+    signs = [[Fraction((-1) ** i if i == j else 0) for j in range(n)] for i in range(n)]
+    a = ratl.mat_mul(ratl.mat_mul(ratl.inverse(u), signs), u)
+    uf = np.array(u, dtype=float)
+    j = np.linalg.inv(uf) @ standard_structure(k) @ uf
+    return tuple(tuple(int(x) for x in row) for row in a), j
+
+
+def test_lattice_labels_match_float_oracle():
+    """D1, D7 and D8 agree with the float memberships they replace.
+
+    Pairs are built so that A1 and A2 anticommute with J1 and J2 (the D1
+    prerequisites hold) or are drawn from an unrelated frame (they fail).
+    Translations have denominators at most 3, far from the 1e-8 edge.
+    """
+    rng = random.Random(6)
+    seen = {key: set() for key in ("prerequisites", "D1", "D7", "D8")}
+
+    def small(rng):
+        return Fraction(rng.randint(-4, 4), rng.choice((1, 1, 1, 2, 3)))
+
+    for trial in range(120):
+        # every pair is compatible with an m = 1 form and with the zero form
+        m = 1 + trial % 2
+        datum = KODAIRA if m == 1 else BundleDatum(m=2, d=1, components=(Z4, Z4))
+        a1, j1 = _frame_pair(rng, 1)
+        a2, j2 = _frame_pair(rng, m)
+        if rng.random() < 0.5:
+            a1, a2 = _frame_pair(rng, 1)[0], _frame_pair(rng, m)[0]
+        rs = RealStructureData(
+            A1=a1,
+            A2=a2,
+            L=tuple(tuple(small(rng) for _ in range(2 * m)) for _ in range(2)),
+            d1=tuple(small(rng) for _ in range(2)),
+            d2=tuple(small(rng) for _ in range(2 * m)),
+        )
+        pair = ComplexStructurePair(J1=j1, J2=j2)
+        rep = check_dianalytic_conditions(datum, rs, pair)
+        oracle = float_lattice_labels(decompose(datum, pair), rs)
+        pre = rep["prerequisites"]
+        held = max(pre["A1_diagonal_component"], pre["A2_diagonal_component"]) <= 1e-8
+        seen["prerequisites"].add(held)
+        # with the prerequisites failing the float D1 still holds when the
+        # antilinear part (A + J A J) / 2 is unimodular; D1 no longer does
+        assert rep["D1"]["ok"] == (held and oracle["D1"]), trial
+        assert (rep["D7"]["ok"], rep["D8"]["ok"]) == (oracle["D7"], oracle["D8"]), trial
+        for key in ("D1", "D7", "D8"):
+            seen[key].add(rep[key]["ok"])
+    assert all(values == {True, False} for values in seen.values()), seen
 
 
 def test_eigensplit_kodaira_frozen():
