@@ -16,11 +16,13 @@ from math import gcd
 
 
 def frac(x) -> Fraction:
-    """Coerce ints, Fractions and 'p/q' strings to Fraction."""
+    """Coerce ints, Fractions and 'p/q' strings to Fraction; booleans are refused."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, str):
         return Fraction(x)
+    if isinstance(x, bool):
+        raise TypeError(f"{x!r} is a boolean, not a number")
     if isinstance(x, float):
         return Fraction(x).limit_denominator(10**12)
     return Fraction(x)

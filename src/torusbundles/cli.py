@@ -3,7 +3,8 @@
 One JSON input document serves every command; optional sections are
 required only by the commands that read them.  Exit status 0 means all
 checks passed, 1 means a check failed (the report names the violated
-condition), 2 means the input could not be parsed or validated.
+condition), 2 means the input could not be parsed or validated, and 3
+means the command itself failed (an internal error, reported on one line).
 """
 
 import argparse
@@ -242,7 +243,10 @@ def _cmd_decompose(doc, args):
         failed.append("first-compatibility-equation")
         report["failed"] = failed
         return report, failed
-    dec = decompose(datum, pair, tol=tol)
+    try:
+        dec = decompose(datum, pair, tol=tol)
+    except ValueError as exc:
+        raise InputError(f"cannot decompose the complex structure pair: {exc}") from exc
     report.update(
         {
             "B_prime": dec.B_prime,
@@ -457,6 +461,9 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
     report["ok"] = not failed
     text = render(report, args.format)

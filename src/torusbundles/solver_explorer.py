@@ -18,16 +18,12 @@ from __future__ import annotations
 import itertools
 import logging
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .real_structures import (
-    CompatibleStructure,
-    EigenSplit,
-    antiholomorphy_residual,
-    rbr2_residual,
-)
+from .real_structures import CompatibleStructure, EigenSplit
 
 log = logging.getLogger(__name__)
 
@@ -53,6 +49,30 @@ def _inv2(mat) -> np.ndarray:
     """Closed-form inverse of an invertible 2x2 matrix."""
     (a, b), (c, d) = np.asarray(mat, dtype=float).tolist()
     return np.array([[d, -b], [-c, a]]) / (a * d - b * c)
+
+
+def _det2_rounded(p, q, r, s) -> float:
+    """p s - q r rounded once, from the exact binary fractions of the entries.
+
+    The float difference loses its digits when the matrix is nearly
+    singular, and an inverse by the adjugate inherits that error.  A
+    non-finite or huge result is returned as the float difference.
+    """
+    det = p * s - q * r
+    if not abs(det) < 1e300:
+        return det
+    (a, ad), (d, dd), (b, bd), (c, cd) = (x.as_integer_ratio() for x in (p, s, q, r))
+    return (a * d * bd * cd - b * c * ad * dd) / (ad * dd * bd * cd)
+
+
+def _row_norm(rows) -> float:
+    """Infinity norm (largest absolute row sum) of a matrix given as rows."""
+    return max([sum(map(abs, row)) for row in rows])
+
+
+def _affine_maxabs(row, cols, c, other) -> float:
+    """max_j |(row @ M)_j + c * other_j| for M given by its columns."""
+    return max([abs(sum(map(operator.mul, row, col)) + c * o) for col, o in zip(cols, other)])
 
 
 def _bprime(d_block: np.ndarray, b_mat: np.ndarray) -> float:
@@ -207,12 +227,59 @@ class ConstraintSystem:
         return np.concatenate(parts)
 
     def residual_pair(self, b: float, b_mat: np.ndarray):
-        """Independent residuals computed from the block operators."""
-        cs = CompatibleStructure(B1=[[b]], B2=np.asarray(b_mat, dtype=float))
-        return (
-            antiholomorphy_residual(self.split, cs),
-            rbr2_residual(self.split, cs),
-        )
+        """(antiholomorphy, block quadric) residuals at B1 = b, B2 = B.
+
+        Closed form on the scalar blocks, with B^{-1} by the adjugate over a
+        once-rounded det B.  The antiholomorphy residual is the primary form
+
+            max |l_pp B + b l_mm|, |l_pm B^{-1} - b l_mp|,
+
+        and the form composed with the inverses,
+
+            max |l_mp B - b^{-1} l_pm|, |l_mm B^{-1} + b^{-1} l_pp|,
+
+        is evaluated independently.  The two vanish together up to
+        kappa = max(1,|b|) max(1,|b^{-1}|) max(1,|B|inf) max(1,|B^{-1}|inf):
+        a RuntimeError is raised unless one form is below 1e-9 exactly when
+        the other is below 1e-9 kappa.  The quadric residual is
+        |a_minus - a_plus det B + b b'(B)|, identically 0 when m = 1.  A
+        singular b or B (|det| < 1e-14) raises ValueError.  The values are
+        those of real_structures.antiholomorphy_residual and rbr2_residual up
+        to rounding, which the tests use as the oracle.
+        """
+        b = float(b)
+        rows = np.asarray(b_mat, dtype=float).tolist()
+        if self.m == 1:
+            det = rows[0][0]
+        else:
+            (p, q), (r, s) = rows
+            det = _det2_rounded(p, q, r, s)
+        if abs(b) < 1e-14:
+            raise ValueError("B1 is singular")
+        if abs(det) < 1e-14:
+            raise ValueError("B2 is singular")
+        bi = 1.0 / b
+        inv = [[1.0 / det]] if self.m == 1 else [[s / det, -q / det], [-r / det, p / det]]
+        pp, pm = self.l_pp.tolist(), self.l_pm.tolist()
+        mp, mm = self.l_mp.tolist(), self.l_mm.tolist()
+        cols, inv_cols = list(zip(*rows)), list(zip(*inv))
+        r_first = max(_affine_maxabs(pp, cols, b, mm), _affine_maxabs(pm, inv_cols, -b, mp))
+        r_second = max(_affine_maxabs(mp, cols, -bi, pm), _affine_maxabs(mm, inv_cols, bi, pp))
+        kappa = 1.0
+        for v in (abs(b), abs(bi), _row_norm(rows), _row_norm(inv)):
+            kappa *= max(1.0, v)
+        threshold = 1e-9
+        if (r_first <= threshold) != (r_second <= threshold * kappa) and (
+            r_second <= threshold
+        ) != (r_first <= threshold * kappa):
+            raise RuntimeError(
+                f"antiholomorphy forms disagree: {r_first} vs {r_second} (kappa {kappa})"
+            )
+        if self.m == 1:
+            return r_first, 0.0
+        (d11, d12), (d21, d22) = self.D.tolist()
+        bprime = d11 * q + d12 * s - d21 * p - d22 * r
+        return r_first, abs(self.a_minus - self.a_plus * det + b * bprime)
 
 
 # ---------------------------------------------------------------------------

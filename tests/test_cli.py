@@ -2,8 +2,10 @@
 
 import json
 
+import numpy as np
 import pytest
 
+from torusbundles import cli
 from torusbundles.cli import main
 
 KOD = {
@@ -284,6 +286,50 @@ def test_boolean_entries_exit_2(tmp_path, capsys):
     rc, _, err = run(tmp_path, capsys, "check-real", doc)
     assert rc == 2
     assert "A2[0][0] is not an integer" in err
+
+
+def test_boolean_rational_entries_exit_2(tmp_path, capsys):
+    # JSON true in d1 used to pass as the rational 1 (exit 0)
+    doc = json.loads(json.dumps(KOD))
+    doc["real_structure"]["d1"] = [True, "1/2"]
+    rc, _, err = run(tmp_path, capsys, "check-real", doc)
+    assert rc == 2
+    assert "invalid real structure" in err and "boolean" in err
+    doc = json.loads(json.dumps(KOD))
+    doc["orbifold"] = {
+        "A1": [[-1, 0], [0, 1]],
+        "A2": [[1, 0], [0, -1]],
+        "d2": [0, 0],
+        "generator_translations": [[0, False], [0, 0]],
+        "square_translation_y": [0, 0],
+        "square_translation_x": [0, 0],
+    }
+    rc, _, err = run(tmp_path, capsys, "reconstruct", doc)
+    assert rc == 2
+    assert "invalid orbifold block" in err and "boolean" in err
+
+
+def test_decompose_ill_conditioned_structure_exit_2(tmp_path, capsys):
+    # an exact but ill-conditioned J2 used to escape as a ValueError traceback
+    u = np.array([[1, 3000, 0, 0], [0, 1, 3000, 0], [0, 0, 1, 3000], [0, 0, 0, 1]], dtype=float)
+    j0 = np.array([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]], dtype=float)
+    zero = [[0] * 4 for _ in range(4)]
+    doc = {"m": 2, "d": 1, "components": [zero, zero], "J2": (np.linalg.inv(u) @ j0 @ u).tolist()}
+    rc, _, err = run(tmp_path, capsys, "decompose", doc)
+    assert rc == 2
+    assert err.startswith("input error: cannot decompose")
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_internal_error_exit_3(tmp_path, capsys, monkeypatch):
+    def broken(doc, args):
+        raise ZeroDivisionError("float division by zero")
+
+    monkeypatch.setitem(cli._HANDLERS, "solve", broken)
+    rc, out, err = run(tmp_path, capsys, "solve", QUADRIC_SYS)
+    assert rc == 3
+    assert out == ""
+    assert err == "internal error: ZeroDivisionError: float division by zero\n"
 
 
 def test_reconstruct_short_generator_translations_exit_2(tmp_path, capsys):

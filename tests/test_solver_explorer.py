@@ -1,6 +1,7 @@
 """Solution families: case labels, shapes, witnesses, paths, certificates."""
 
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,8 +9,16 @@ import pytest
 import torusbundles.solver_explorer as se
 from torusbundles.cli import main
 from torusbundles.lattice_core import BundleDatum
-from torusbundles.real_structures import RealStructureData, eigensplit
+from torusbundles.real_structures import (
+    CompatibleStructure,
+    RealStructureData,
+    antiholomorphy_residual,
+    eigensplit,
+    rbr2_residual,
+)
 from torusbundles.solver_explorer import (
+    PATH_TOL,
+    WITNESS_TOL,
     ConstraintSystem,
     classify_case,
     connect,
@@ -284,6 +293,81 @@ def test_case_constants_exposed():
                                [2, 0], [3, 0], [1, 0], [-6, 0]))
     assert info.label == "L.prop"
     assert info.constants["beta"] == pytest.approx(2.0)
+
+
+# ---------------------------------------------------------------------------
+# vertex residuals
+
+
+def _oracle_systems(rng):
+    """Systems from raw blocks (m = 1, 2) and from exact eigensplits."""
+    def ints(*shape):
+        return rng.integers(-3, 4, size=shape).astype(float)
+
+    systems = [kod(*ints(4)) for _ in range(6)]
+    systems += [three(*ints(2), ints(2, 2), *ints(4, 2)) for _ in range(6)]
+    systems += [kod(0.0, 1.0, 1.0, 0.0), three(1.0, 1.0, np.zeros((2, 2)), ZL, ZL, ZL, ZL)]
+    rs_kod = RealStructureData(A1=RS_KOD.A1, A2=RS_KOD.A2, L=(("3/2", 0), (0, "-5/2")),
+                               d1=(0, "1/2"), d2=("1/2", 0))
+    rs_three = RealStructureData(A1=RS_THREE.A1, A2=RS_THREE.A2,
+                                 L=((0, 0, "1/2", "3/2"), (-1, "1/2", 0, 0)),
+                                 d1=(0, 0), d2=(0, 0, 0, 0))
+    for datum, rs in ((KODAIRA, RS_KOD), (KODAIRA, rs_kod), (THREE, RS_THREE), (THREE, rs_three)):
+        systems.append(ConstraintSystem.from_split(eigensplit(datum, rs)))
+    return systems
+
+
+def test_residual_pair_matches_block_operator_oracle():
+    rng = np.random.default_rng(7)
+    decisions = []
+    for sys in _oracle_systems(rng):
+        points = []
+        if not solve(sys).is_empty:
+            for w in sample_solutions(sys, 4, seed=1):
+                points.append((w.b, w.b_matrix))
+                points.append((w.b * 1.01, w.b_matrix + 1e-3 * rng.normal(size=w.b_matrix.shape)))
+        for _ in range(6):
+            points.append((rng.uniform(-5.0, 5.0), 3.0 * rng.normal(size=(sys.m, sys.m))))
+        for b, b_mat in points:
+            got = sys.residual_pair(b, b_mat)
+            cs = CompatibleStructure(B1=[[b]], B2=b_mat)
+            want = (antiholomorphy_residual(sys.split, cs), rbr2_residual(sys.split, cs))
+            inv = np.linalg.inv(b_mat)
+            size = max(1.0, np.abs(b_mat).sum(1).max(), np.abs(inv).sum(1).max())
+            scale = sys.scale * max(1.0, abs(b), 1.0 / abs(b)) * size ** 2
+            for g, w in zip(got, want):
+                assert abs(g - w) <= 1e-12 * (1.0 + scale), (sys, b, b_mat)
+            for tol in (PATH_TOL, WITNESS_TOL):
+                assert (max(got) <= tol) == (max(want) <= tol)
+            decisions.append(max(want) <= WITNESS_TOL)
+    assert sum(decisions) >= 20 and decisions.count(False) >= 20
+
+
+def test_residual_pair_exact_on_nearly_singular_block():
+    # an L.ppzero certificate witness with det B = 0.0177: the float
+    # difference p s - q r moves the l_pm B^-1 route by about 1e-11
+    sys = three(0.0, -2.0, [[0.0, -2.0], [0.0, -1.0]], ZL, [2.0, 1.0], [-2.0, 3.0], ZL)
+    b = 7.52072524638187
+    b_mat = np.array([[-22.243717196503706, -11.321307448044847],
+                      [-14.740500864427807, -7.503216332075899]])
+    (p, q), (r, s) = [[Fraction(x) for x in row] for row in b_mat.tolist()]
+    det = p * s - q * r
+    inv_cols = ((s / det, -r / det), (-q / det, p / det))
+    exact = max(abs(2 * c0 + c1 - Fraction(b) * l) for (c0, c1), l in zip(inv_cols, (-2, 3)))
+    got, _ = sys.residual_pair(b, b_mat)
+    assert abs(got - float(exact)) <= 1e-13
+
+
+def test_residual_pair_singular_blocks_raise():
+    for sys in (kod(1.0, 2.0, 1.0, -1.0), three(1.0, 2.0, np.eye(2), ZL, ZL, ZL, ZL)):
+        eye = np.eye(sys.m)
+        with pytest.raises(ValueError, match="B1 is singular"):
+            sys.residual_pair(0.0, eye)
+        singular = np.zeros((1, 1)) if sys.m == 1 else np.array([[1.0, 2.0], [2.0, 4.0]])
+        with pytest.raises(ValueError, match="B2 is singular"):
+            sys.residual_pair(1.0, singular)
+        with pytest.raises(ValueError, match="B2 is singular"):
+            CompatibleStructure(B1=[[1.0]], B2=singular)
 
 
 # ---------------------------------------------------------------------------
