@@ -52,7 +52,9 @@ def main():
         [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]
     )
     cert2 = connectivity_certificate(stratum, samples=8, seed=5)
-    print("degenerate stratum certificate:", cert2.component_count, "components")
+    print("degenerate stratum certificate:", cert2.component_count, "components,",
+          cert2.components_proven, "proven by the nappe invariant")
+    print("a join across the nappes:", cert2.failures[0].message)
 
     # the CLI consumes one JSON document for every subcommand
     print("\n-- command line --")

@@ -20,6 +20,7 @@ import logging
 import math
 import operator
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -374,6 +375,8 @@ class SolutionSetDescription:
                 safe[key] = val.tolist()
             elif isinstance(val, (np.floating, np.integer)):
                 safe[key] = float(val)
+            elif key == "nappe_vector":
+                safe[key] = [str(x) for x in val]
             else:
                 safe[key] = val
         return {
@@ -457,19 +460,64 @@ def _wlog_transform(row: np.ndarray) -> np.ndarray:
     return np.array([[r1 / n2, -r2], [r2 / n2, r1]])
 
 
+def _exact_rows(mat) -> list:
+    """Rows of a float matrix as exact Fractions."""
+    return [[Fraction(x) for x in row] for row in np.asarray(mat, dtype=float).tolist()]
+
+
 def _restricted_signature(sys: ConstraintSystem):
-    """Signature of det(B) restricted to the hyperplane {b'(B) = 0}."""
-    # det as a symmetric form on (b11, b12, b21, b22)
-    q = np.zeros((4, 4))
-    q[0, 3] = q[3, 0] = 0.5
-    q[1, 2] = q[2, 1] = -0.5
-    kern = _bprime_kernel(sys.D)
-    restr = kern.T @ q @ kern
-    eig = np.linalg.eigvalsh(restr)
-    tol = 1e-12 * max(1.0, np.abs(eig).max())
-    pos = int((eig > tol).sum())
-    neg = int((eig < -tol).sum())
-    return pos, neg
+    """Signature of det(B) restricted to the hyperplane {b'(B) = 0}, decided exactly.
+
+    b'(B) = w . (b11, b12, b21, b22) with w = (-d21, d11, -d22, d12).  The
+    hyperplane is the det-orthogonal complement of the dual vector of w, so
+    the restriction has signature (1, 2) when q*(w) = w1 w4 - w2 w3 > 0,
+    (2, 1) when q*(w) < 0, and is degenerate of signature (1, 1) when
+    q*(w) = 0.
+    """
+    (d11, d12), (d21, d22) = _exact_rows(sys.D)
+    dual = d11 * d22 - d12 * d21  # q*(w)
+    return (1, 2) if dual > 0 else (2, 1) if dual < 0 else (1, 1)
+
+
+def _nappe_vector(d_block: np.ndarray) -> tuple:
+    """Rational v = (v11, v12, v21, v22) in ker b' with det v > 0.
+
+    The kernel basis pivots on the first nonzero entry w_p of
+    w = (-d21, d11, -d22, d12): one vector e_j - (w_j / w_p) e_p for each
+    j != p.  v is the first combination with coefficients in {-1, 0, 1}
+    that has det v > 0.  One always exists: with the coordinate that det
+    pairs with p set to zero, det v is +-(product of the two remaining free
+    coordinates).
+    """
+    (d11, d12), (d21, d22) = _exact_rows(d_block)
+    w = (-d21, d11, -d22, d12)
+    p = next(i for i, x in enumerate(w) if x)
+    basis = [[Fraction(i == j) - (w[j] / w[p] if i == p else 0) for i in range(4)]
+             for j in range(4) if j != p]
+    combos = (
+        tuple(sum(c * k[i] for c, k in zip(coeffs, basis)) for i in range(4))
+        for coeffs in itertools.product((-1, 0, 1), repeat=3)
+    )
+    return next(v for v in combos if v[0] * v[3] - v[1] * v[2] > 0)
+
+
+def _nappe_sign(v: tuple, b_mat: np.ndarray):
+    """(sign, Q) of the polar form Q(v, B) = (v11 b22 + v22 b11 - v12 b21 - v21 b12) / 2.
+
+    On a two-nappe stratum {b'(B) = 0, det B > 0} the sign is constant on
+    each nappe and differs between them: det restricted to ker b' has one
+    positive direction, so Q(v, B)^2 >= det v det B (reverse Cauchy-Schwarz,
+    which also holds for the degenerate signature (1, 1)).  Q is
+    evaluated exactly on the float entries of B, and the sign is 0 unless
+    Q^2 >= det v det B / 2, the half absorbing the residual of a verified
+    point that lies just off ker b'.
+    """
+    (b11, b12), (b21, b22) = _exact_rows(b_mat)
+    v11, v12, v21, v22 = v
+    q = (v11 * b22 + v22 * b11 - v12 * b21 - v21 * b12) / 2
+    if q * q < (v11 * v22 - v12 * v21) * (b11 * b22 - b12 * b21) / 2:
+        return 0, q
+    return (q > 0) - (q < 0), q
 
 
 def classify_case(sys: ConstraintSystem) -> CaseInfo:
@@ -487,7 +535,7 @@ def classify_case(sys: ConstraintSystem) -> CaseInfo:
             return CaseInfo("L0.D0", consts)
         pos, neg = _restricted_signature(sys)
         consts["restricted_signature"] = (pos, neg)
-        consts["stratum_components"] = 1 if pos >= 2 else (2 if pos == 1 else 0)
+        consts["stratum_components"] = 1 if pos == 2 else 2
         return CaseInfo("L0.Dnz", consts)
     pp_zero = all(_near_zero(v, sc) for v in sys.l_pp)
     mp_zero = all(_near_zero(v, sc) for v in sys.l_mp)
@@ -690,11 +738,6 @@ def solve_threefold(sys: ConstraintSystem) -> SolutionSetDescription:
 
     if label == "L0.Dnz":
         if a_p == 0 and a_m == 0:
-            pos, _neg = c["restricted_signature"]
-            if pos == 0:
-                return _empty(
-                    sys, label, c, ["determinant is nonpositive on the coupling stratum"]
-                )
             kern = _bprime_kernel(sys.D)
 
             def draw_stratum(rng):
@@ -706,6 +749,7 @@ def solve_threefold(sys: ConstraintSystem) -> SolutionSetDescription:
 
             notes = []
             if c["stratum_components"] == 2:
+                c["nappe_vector"] = _nappe_vector(sys.D)
                 notes.append(
                     "degenerate stratum family: expected two connected components"
                 )
@@ -1413,9 +1457,13 @@ def _walk_route(sys: ConstraintSystem, legs):
 def connect(p, q, sys: ConstraintSystem) -> ConnectPath:
     """Join two solutions by a verified polyline inside the family.
 
-    Tries a case-aware chart route first, then the straight line, then a
-    roadmap through sampled intermediate witnesses.  The description comes
-    from solve(sys), and every leg's region check runs at most once a call.
+    On a two-component stratum the endpoints are first told apart by the
+    exact sign of the nappe invariant Q(v, B) (see _nappe_sign): when both
+    signs are nonzero and differ, no path exists and the join fails at once,
+    naming both Q values.  Otherwise it tries a case-aware chart route, then
+    the straight line, then a roadmap through sampled intermediate
+    witnesses.  The description comes from solve(sys), and every leg's
+    region check runs at most once a call.
     """
     xp = _as_position(sys, p)
     xq = _as_position(sys, q)
@@ -1430,6 +1478,19 @@ def connect(p, q, sys: ConstraintSystem) -> ConnectPath:
     if np.linalg.norm(xp - xq) <= 1e-12:
         return ConnectPath(success=True, points=(tuple(xp),))
     desc = solve(sys)
+    nappe = desc.constants.get("nappe_vector")
+    if nappe is not None:
+        (sp, qp), (sq, qq) = (_nappe_sign(nappe, sys.unpack(x)[1]) for x in (xp, xq))
+        if sp * sq < 0:
+            return ConnectPath(
+                success=False,
+                points=(),
+                message=(
+                    "endpoints lie on opposite nappes of the stratum: "
+                    f"Q(v, B) = {float(qp):.6g} at the start and {float(qq):.6g} at the end"
+                ),
+                last_point=tuple(xp),
+            )
 
     last = tuple(xp)
     message = "continuation stalled"
@@ -1528,6 +1589,7 @@ class ConnectivityCertificate:
 
     case_label: str
     component_count: int
+    components_proven: int
     witnesses: tuple
     paths: tuple
     failures: tuple
@@ -1538,6 +1600,7 @@ class ConnectivityCertificate:
         return {
             "case": self.case_label,
             "component_count": self.component_count,
+            "components_proven": self.components_proven,
             "witnesses": [w.to_dict() for w in self.witnesses],
             "paths": [p.to_dict() for p in self.paths],
             "failures": [f.to_dict() for f in self.failures],
@@ -1552,13 +1615,17 @@ def connectivity_certificate(
     """Sample the family and join the samples by continuation paths.
 
     component_count is the number of classes the successful paths leave
-    behind; an empty family certifies zero components.
+    behind; an empty family certifies zero components.  components_proven
+    is the number of components the witnesses provably meet: on a
+    two-component stratum the number of distinct nonzero nappe signs among
+    them, 1 for every other nonempty family.
     """
     desc = solve(sys)
     if desc.is_empty:
         return ConnectivityCertificate(
             case_label=desc.case_label,
             component_count=0,
+            components_proven=0,
             witnesses=(),
             paths=(),
             failures=(),
@@ -1592,9 +1659,14 @@ def connectivity_certificate(
         else:
             failures.append(result)
     count = len({find(i) for i in range(n)})
+    nappe = desc.constants.get("nappe_vector")
+    proven = 1
+    if nappe is not None:
+        proven = len({_nappe_sign(nappe, w.b_matrix)[0] for w in witnesses} - {0})
     return ConnectivityCertificate(
         case_label=desc.case_label,
         component_count=count,
+        components_proven=proven,
         witnesses=tuple(witnesses),
         paths=tuple(paths),
         failures=tuple(failures),

@@ -272,3 +272,42 @@ def float_lattice_labels(dec, rs, tol: float = 1e-8) -> dict:
         "D7": _float_member(f2, f2.project_plus(a2 @ d2 + d2), tol) is not None,
         "D8": _float_member(f1, f1.project_plus(a1 @ d1 + lmat @ d2 + d1), tol) is not None,
     }
+
+
+# ---------------------------------------------------------------------------
+# the split stratum in floats: signature of det B on ker b' and the nappes
+
+
+def _float_bprime_kernel(d_block):
+    """Orthonormal basis (4 x 3) of ker b' from an SVD of its row."""
+    d = np.asarray(d_block, dtype=float)
+    w = np.array([-d[1, 0], d[0, 0], -d[1, 1], d[0, 1]])
+    _, _, vt = np.linalg.svd(w[None, :])
+    return vt[1:].T
+
+
+def _float_restricted_form(d_block):
+    """det B as a symmetric form on (b11, b12, b21, b22), restricted to ker b'."""
+    q = np.zeros((4, 4))
+    q[0, 3] = q[3, 0] = 0.5
+    q[1, 2] = q[2, 1] = -0.5
+    kern = _float_bprime_kernel(d_block)
+    return kern, kern.T @ q @ kern
+
+
+def float_restricted_signature(d_block):
+    """(positive, negative) eigenvalue counts of the restricted form, at a
+    relative tolerance of 1e-12."""
+    eig = np.linalg.eigvalsh(_float_restricted_form(d_block)[1])
+    tol = 1e-12 * max(1.0, np.abs(eig).max())
+    return int((eig > tol).sum()), int((eig < -tol).sum())
+
+
+def float_nappe_sign(d_block, b_mat) -> int:
+    """+1 or -1 by the side of B along the positive eigendirection of the
+    restricted form; the sign of the eigenvector, and so the labelling of
+    the two nappes, is arbitrary but fixed for one d_block."""
+    kern, restr = _float_restricted_form(d_block)
+    vals, vecs = np.linalg.eigh(restr)
+    direction = vecs[:, int(np.argmax(vals))]
+    return 1 if float(direction @ (kern.T @ np.ravel(b_mat))) > 0 else -1

@@ -1,6 +1,8 @@
 """Solution families: case labels, shapes, witnesses, paths, certificates."""
 
+import itertools
 import json
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +18,7 @@ from torusbundles.real_structures import (
     eigensplit,
     rbr2_residual,
 )
+from _oracles import float_nappe_sign, float_restricted_signature
 from torusbundles.solver_explorer import (
     PATH_TOL,
     WITNESS_TOL,
@@ -223,6 +226,41 @@ def test_degenerate_stratum_splits():
     assert desc.constants["restricted_signature"] == (1, 2)
     assert desc.constants["stratum_components"] == 2
     assert any("two connected components" in n for n in desc.notes)
+    check_witnesses(desc)
+
+
+def test_restricted_signature_exact_and_float_agree():
+    # every nonzero D in [-3, 3]^4: the exact rule on q*(w) = det D against
+    # the eigenvalues of the restricted Gram matrix; v is in ker b', det v > 0
+    for entries in itertools.product(range(-3, 4), repeat=4):
+        if not any(entries):
+            continue
+        d_block = np.array(entries, dtype=float).reshape(2, 2)
+        sig = se._restricted_signature(three(0.0, 0.0, d_block, ZL, ZL, ZL, ZL))
+        assert sig == float_restricted_signature(d_block), entries
+        v11, v12, v21, v22 = se._nappe_vector(d_block)
+        d11, d12, d21, d22 = entries
+        assert -d21 * v11 + d11 * v12 - d22 * v21 + d12 * v22 == 0
+        assert v11 * v22 - v12 * v21 > 0
+
+
+@pytest.mark.parametrize("d_block, signature", [
+    ([[1, 0], [0, 0]], (1, 1)),
+    ([[2, 4], [1, 2]], (1, 1)),
+    ([[10**6, 2 * 10**6], [5 * 10**5, 10**6]], (1, 1)),
+    ([[10**6, 3], [-2, 10**6 + 1]], (1, 2)),
+    ([[10**6, 10**6 + 1], [10**6 + 1, 10**6]], (2, 1)),
+    # det D = +-1 against |w|^2 of about 4e12: the float rule of the
+    # restricted Gram matrix calls both degenerate, (1, 1)
+    ([[10**6, 999999], [10**6 + 1, 10**6]], (1, 2)),
+    ([[10**6, 10**6 + 1], [10**6 + 1, 10**6 + 2]], (2, 1)),
+])
+def test_restricted_signature_degenerate_and_large(d_block, signature):
+    desc = solve(three(0.0, 0.0, d_block, ZL, ZL, ZL, ZL))
+    assert desc.kind == "stratum"
+    assert desc.constants["restricted_signature"] == signature
+    assert desc.constants["stratum_components"] == (1 if signature == (2, 1) else 2)
+    assert ("nappe_vector" in desc.constants) == (signature != (2, 1))
     check_witnesses(desc)
 
 
@@ -448,6 +486,85 @@ def test_connect_rejects_nonsolution_endpoint():
     assert "end point" in path.message
 
 
+SPLIT_D = ([[1, 0], [0, 1]], [[2, 1], [-1, 3]], [[-1, 2], [-3, 1]])
+
+
+def _polar(v, b_mat):
+    """Q(v, B) in floats, independent of the library's exact helper."""
+    v11, v12, v21, v22 = map(float, v)
+    (b11, b12), (b21, b22) = np.asarray(b_mat, dtype=float)
+    return (v11 * b22 + v22 * b11 - v12 * b21 - v21 * b12) / 2
+
+
+def _by_nappe(cs, witnesses):
+    v = solve(cs).constants["nappe_vector"]
+    pos = [w for w in witnesses if _polar(v, w.b_matrix) > 0]
+    neg = [w for w in witnesses if _polar(v, w.b_matrix) < 0]
+    return pos, neg
+
+
+def test_connect_across_nappes_fails_without_continuation(monkeypatch):
+    cs = three(0.0, 0.0, np.eye(2), ZL, ZL, ZL, ZL)
+    pos, neg = _by_nappe(cs, sample_solutions(cs, 8, seed=5))
+    assert pos and neg
+
+    def refuse(*args):
+        raise AssertionError("continuation ran on a cross-nappe join")
+
+    monkeypatch.setattr(se, "_route", refuse)
+    monkeypatch.setattr(se, "_walk_curve", refuse)
+    v = solve(cs).constants["nappe_vector"]
+    for p, q in ((pos[0], neg[0]), (neg[-1], pos[-1])):
+        path = connect(p, q, cs)
+        assert not path.success
+        assert path.points == ()
+        assert path.last_point == tuple(p.position())
+        assert "opposite nappes" in path.message
+        named = [float(x) for x in re.findall(r"Q\(v, B\) = (\S+) at the start and (\S+) at", path.message)[0]]
+        assert np.allclose(named, [_polar(v, p.b_matrix), _polar(v, q.b_matrix)], rtol=1e-5)
+
+
+def test_connect_within_a_nappe_joins():
+    for d_block in SPLIT_D:
+        cs = three(0.0, 0.0, d_block, ZL, ZL, ZL, ZL)
+        v = solve(cs).constants["nappe_vector"]
+        for side in _by_nappe(cs, sample_solutions(cs, 8, seed=2)):
+            for p, q in zip(side, side[1:]):
+                path = connect(p, q, cs)
+                assert path.success
+                assert len({np.sign(_polar(v, np.reshape(x[1:], (2, 2)))) for x in path.points}) == 1
+
+
+def test_nappe_sign_matches_float_eigenframe():
+    # the exact sign against the positive eigendirection of the restricted
+    # form (an arbitrary but fixed labelling of the nappes per system)
+    systems = SPLIT_D + ([[1, 0], [0, 0]], [[10**6, 3], [-2, 10**6 + 1]])
+    total = 0
+    for k, d_block in enumerate(systems):
+        cs = three(0.0, 0.0, d_block, ZL, ZL, ZL, ZL)
+        v = solve(cs).constants["nappe_vector"]
+        ws = sample_solutions(cs, 100, seed=k)
+        exact = [se._nappe_sign(v, w.b_matrix)[0] for w in ws]
+        floats = [float_nappe_sign(d_block, w.b_matrix) for w in ws]
+        assert 0 not in exact
+        assert len({e * f for e, f in zip(exact, floats)}) == 1, d_block
+        assert len(set(exact)) == 2
+        total += len(ws)
+    assert total == 500
+
+
+def test_nappe_sign_zero_off_the_stratum():
+    cs = three(0.0, 0.0, np.eye(2), ZL, ZL, ZL, ZL)
+    v = solve(cs).constants["nappe_vector"]
+    # ker b' is the symmetric matrices; this B has det 26 but lies far off it
+    off = np.array([[1.0, 5.0], [-5.0, 1.0]])
+    sign, q = se._nappe_sign(v, off)
+    assert sign == 0 and q != 0
+    # a residual of 1e-9 off ker b' keeps the sign, opposite on the other nappe
+    near = np.array([[1.0, 0.5], [0.5 + 1e-9, 1.0]])
+    assert [se._nappe_sign(v, s * near)[0] for s in (1, -1)] in ([1, -1], [-1, 1])
+
+
 # ---------------------------------------------------------------------------
 # connectivity certificates
 
@@ -482,6 +599,28 @@ def test_certificate_detects_stratum_split(monkeypatch):
     assert cert.component_count == 2
     assert cert.failures
     assert solved == [cs]  # one solve serves the sampler and every join
+
+
+def test_split_certificates_prove_their_components():
+    for d_block in SPLIT_D:
+        cs = three(0.0, 0.0, d_block, ZL, ZL, ZL, ZL)
+        v = solve(cs).constants["nappe_vector"]
+        for seed in range(20):
+            cert = connectivity_certificate(cs, samples=8, seed=seed)
+            assert cert.components_proven == cert.component_count
+            for path in cert.paths:
+                signs = {se._nappe_sign(v, np.reshape(x[1:], (2, 2)))[0] for x in path.points}
+                assert len(signs) == 1 and 0 not in signs
+            for failure in cert.failures:
+                assert "opposite nappes" in failure.message
+
+
+def test_components_proven_outside_the_split_stratum():
+    assert connectivity_certificate(kod(0, 2, 1, 0), samples=4, seed=0).components_proven == 1
+    assert connectivity_certificate(kod(1, 1, -1, 1), samples=4, seed=0).components_proven == 0
+    one_sided = three(0.0, 0.0, [[1, 1], [1, 0]], ZL, ZL, ZL, ZL)  # det D < 0: (2, 1)
+    assert "nappe_vector" not in solve(one_sided).constants
+    assert connectivity_certificate(one_sided, samples=4, seed=0).components_proven == 1
 
 
 def test_split_certify_machine_output_reproducible(tmp_path, capsys):
@@ -548,8 +687,10 @@ def test_reports_serialize():
         solve(kod(0, 2, 1, 0)),
         solve(three(1.0, 1.0, np.zeros((2, 2)), ZL, ZL, ZL, ZL)),
         solve(three(1.0, 7.0, [[0, 1], [1, 0]], [2, 0], [3, 0], [1, 0], [-6, 0])),
+        solve(three(0.0, 0.0, [[2, 1], [-1, 3]], ZL, ZL, ZL, ZL)),
     ]
     for desc in descs:
         json.dumps(desc.to_dict())
+    assert descs[-1].to_dict()["constants"]["nappe_vector"] == ["1", "-1", "0", "1"]
     cert = connectivity_certificate(kod(0, 2, 1, 0), samples=4, seed=0)
     json.dumps(cert.to_dict())
