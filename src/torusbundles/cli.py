@@ -438,6 +438,14 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=None)
     parser.add_argument("--format", choices=("human", "machine"), default="human")
     args = parser.parse_args(argv)
+    for bad, rule in (
+        (args.samples < 1, "--samples must be at least 1"),
+        (args.seed < 0, "--seed must be non-negative"),
+        (args.tol is not None and not 0 <= args.tol < float("inf"), "--tol must be finite and >= 0"),
+    ):
+        if bad:
+            print(f"input error: {rule}", file=sys.stderr)
+            return 2
 
     try:
         with open(args.input, "r", encoding="utf-8") as fh:

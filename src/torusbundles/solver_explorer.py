@@ -403,21 +403,35 @@ def _empty(sys, label, constants, notes=()) -> SolutionSetDescription:
     )
 
 
-def _draw_witnesses(sys, desc, seed, want, tries) -> list:
-    """Up to `want` verified witnesses from at most `tries` seeded chart draws."""
+def _draws(draw, seed, want, tries, keep) -> list:
+    """Up to `want` kept values from at most `tries` seeded draws.
+
+    draw(rng) gives a candidate or None; keep(candidate) gives the value to
+    keep or None.  Every draw uses up one try, whether it is kept or not.
+    """
     rng = np.random.default_rng(seed)
     found = []
     for _ in range(tries):
         if len(found) >= want:
             break
-        cand = desc.draw(rng)
-        if cand is None or not sys.in_region(sys.pack(*cand)):
-            continue
-        try:
-            found.append(_make_witness(sys, *cand, desc.case_label))
-        except ValueError:
-            log.debug("rejected witness draw at b=%s", cand[0])
+        cand = draw(rng)
+        if cand is not None and (kept := keep(cand)) is not None:
+            found.append(kept)
     return found
+
+
+def _draw_witnesses(sys, desc, seed, want, tries) -> list:
+    """Up to `want` verified witnesses from at most `tries` seeded chart draws."""
+
+    def verified(cand):
+        if sys.in_region(sys.pack(*cand)):
+            try:
+                return _make_witness(sys, *cand, desc.case_label)
+            except ValueError:
+                log.debug("rejected witness draw at b=%s", cand[0])
+        return None
+
+    return _draws(desc.draw, seed, want, tries, verified)
 
 
 def _nonempty(sys, label, kind, dim, b_free, constants, draw, notes=()):
@@ -1000,8 +1014,10 @@ def solve(sys: ConstraintSystem) -> SolutionSetDescription:
 def sample_solutions(sys: ConstraintSystem, count: int, seed: int = 0) -> list:
     """Deterministic verified samples from the solution family.
 
-    Raises ValueError when the family is empty; the returned list may be
-    shorter than requested (rejected witnesses are logged at DEBUG level).
+    At most max(50, 60 count) chart draws from a generator seeded with the
+    non-negative seed, a rejected draw using up one, so the returned list
+    may be shorter than requested (rejected witnesses are logged at DEBUG
+    level).  Raises ValueError when the family is empty.
     """
     desc = solve(sys)
     if desc.is_empty:
@@ -1235,19 +1251,16 @@ def _stratum_candidates(sys: ConstraintSystem, count=12):
             return []
     elif sys.a_minus != 0:
         return []
-    rng = np.random.default_rng(7)
-    out = []
-    for _ in range(300):
-        if len(out) >= count:
-            break
-        b_mat = (kern @ rng.uniform(-1.0, 1.0, 3)).reshape(2, 2)
+
+    def scaled(b_mat):
         det = _det2(b_mat)
         if det <= 1e-9:
-            continue
-        if target is not None:
-            b_mat = b_mat * math.sqrt(target / det)
-        out.append(b_mat)
-    return out
+            return None
+        return b_mat if target is None else b_mat * math.sqrt(target / det)
+
+    return _draws(
+        lambda rng: (kern @ rng.uniform(-1.0, 1.0, 3)).reshape(2, 2), 7, count, 300, scaled
+    )
 
 
 def _landing_b(sys: ConstraintSystem, b_from: np.ndarray, b_star: np.ndarray):
@@ -1272,24 +1285,19 @@ def _family_mids(sys: ConstraintSystem, desc, sign=0.0, count=16):
     key = 0 if not sign else (1 if sign > 0 else -1)
     if key in desc._mids:
         return desc._mids[key]
-    rng = np.random.default_rng(13)
     row = _bprime_row(sys.D) if sys.m == 2 else None
-    out = []
-    for _ in range(400):
-        if len(out) >= count:
-            break
-        cand = desc.draw(rng)
-        if cand is None:
-            continue
+
+    def well_placed(cand):
         b, b_mat = cand
         b_mat = np.atleast_2d(np.asarray(b_mat, dtype=float))
         if b <= 0.1 or _det2(b_mat) <= 0.1:
-            continue
+            return None
         if sign and float(row @ b_mat.ravel()) * sign <= 0:
-            continue
-        out.append(sys.pack(b, b_mat))
-    desc._mids[key] = out
-    return out
+            return None
+        return sys.pack(b, b_mat)
+
+    desc._mids[key] = _draws(desc.draw, 13, count, 400, well_placed)
+    return desc._mids[key]
 
 
 def _bend_route(leg_for, xp, xq, mids):
@@ -1330,6 +1338,9 @@ def _stratum_approach(sys: ConstraintSystem, leg_for, x, b_star, mids):
 def _route(sys: ConstraintSystem, desc: SolutionSetDescription, xp, xq, verdicts: dict):
     """Case-aware list of predictor curves from xp to xq, or None.
 
+    The straight chord by default.  The region, stratum and L.mpzero
+    families are affine in their chart coordinates, so their legs are
+    chords too, checked and bent once through a family sample if needed.
     Legs that need a region check are decided through the verdicts table
     (see _checked_leg).
     """
@@ -1338,25 +1349,21 @@ def _route(sys: ConstraintSystem, desc: SolutionSetDescription, xp, xq, verdicts
     if kind == "empty":
         return None
     if sys.m == 1:
-        b1p, b2p = xp[0], xp[1]
-        b1q, b2q = xq[0], xq[1]
+        b2p, b2q = xp[1], xq[1]
         if kind == "hyperbola":
             kappa = c["kappa"]
             return [lambda t: np.array([kappa / ((1 - t) * b2p + t * b2q), (1 - t) * b2p + t * b2q])]
         if kind == "ray":
             slope = c["slope"]
             return [lambda t: np.array([slope * ((1 - t) * b2p + t * b2q), (1 - t) * b2p + t * b2q])]
-        return [_LinearCurve(xp, xq)]  # quadrant and point: the region is convex
     label = desc.case_label
-    b_p, bp_mat = sys.unpack(xp)
-    b_q, bq_mat = sys.unpack(xq)
 
     def checker(make_leg):
         return lambda x0, x1: _checked_leg(sys, verdicts, make_leg, x0, x1)
 
-    if label == "L0.D0":
-        if kind == "region":
-            return _bend_route(checker(_LinearCurve), xp, xq, _family_mids(sys, desc))
+    if kind in ("region", "stratum") or label == "L.mpzero":
+        return _bend_route(checker(_LinearCurve), xp, xq, _family_mids(sys, desc))
+    if kind == "quadric":
         a = c["a"]
 
         def quad_leg(x0, x1):
@@ -1373,13 +1380,11 @@ def _route(sys: ConstraintSystem, desc: SolutionSetDescription, xp, xq, verdicts
             return curve
 
         return _bend_route(checker(quad_leg), xp, xq, _family_mids(sys, desc))
-    if label == "L0.Dnz":
+    if kind == "hypersurface":
         row = _bprime_row(sys.D)
-        sp = float(row @ bp_mat.ravel())
-        sq = float(row @ bq_mat.ravel())
+        sp = float(row @ sys.unpack(xp)[1].ravel())
+        sq = float(row @ sys.unpack(xq)[1].ravel())
         tol = 1e-9 * sys.scale
-        if kind == "stratum":
-            return _bend_route(checker(_LinearCurve), xp, xq, _family_mids(sys, desc))
         graph_leg = checker(
             lambda x0, x1: _graph_curve(sys, x0, x1, sys.unpack(x0)[0], sys.unpack(x1)[0])
         )
@@ -1404,29 +1409,18 @@ def _route(sys: ConstraintSystem, desc: SolutionSetDescription, xp, xq, verdicts
         return None
     if label == "L.indep":
         m1, m2 = c["M1"], c["M2"]
+        b_p, b_q = float(xp[0]), float(xq[0])
 
         def curve(t):
             b = (1.0 - t) * b_p + t * b_q
             return sys.pack(b, m1 * b + m2 / b)
 
         return [curve]
-    if label == "L.prop":
-        return [_LinearCurve(xp, xq)]  # affine chart, affine constraints
-    if label in ("L.mpzero", "L.ppzero"):
-        # chart B = T [first_row(b); w], with b and the row w linear along a leg
+    if label == "L.ppzero":
+        # chart B = T [l1/b, l2/b; w], with b and the row w linear along a leg
         t_mat = c["transform"]
         t_inv = _inv2(t_mat)
-        if label == "L.mpzero":
-            lam = c["lambda"]
-
-            def first_row(b):
-                return [-b * lam[0], -b * lam[1]]
-
-        else:
-            l1, l2 = c["l1"], c["l2"]
-
-            def first_row(b):
-                return [l1 / b, l2 / b]
+        l1, l2 = c["l1"], c["l2"]
 
         def chart_leg(x0, x1):
             b0, m0 = sys.unpack(x0)
@@ -1435,13 +1429,13 @@ def _route(sys: ConstraintSystem, desc: SolutionSetDescription, xp, xq, verdicts
 
             def curve(t):
                 b = (1.0 - t) * b0 + t * b1
-                bw = np.array([first_row(b), (1.0 - t) * r0 + t * r1])
+                bw = np.array([[l1 / b, l2 / b], (1.0 - t) * r0 + t * r1])
                 return sys.pack(b, t_mat @ bw)
 
             return curve
 
         return _bend_route(checker(chart_leg), xp, xq, _family_mids(sys, desc))
-    return None
+    return [_LinearCurve(xp, xq)]
 
 
 def _walk_route(sys: ConstraintSystem, legs):
@@ -1454,16 +1448,41 @@ def _walk_route(sys: ConstraintSystem, legs):
     return path, path
 
 
+def _roadmap_path(n, linked):
+    """Hops (u, v) of the breadth-first path from node 0 to node 1, or None.
+
+    Neighbours are scanned in index order, so a live edge (0, 1) is the
+    first path; linked(u, v) is asked only of nodes not yet reached.
+    """
+    prev = {0: None}
+    queue = [0]
+    for u in queue:  # the queue grows while it is scanned
+        for v in range(n):
+            if v not in prev and linked(u, v):
+                prev[v] = u
+                if v == 1:
+                    hops = []
+                    while v:
+                        hops.insert(0, (prev[v], v))
+                        v = prev[v]
+                    return hops
+                queue.append(v)
+    return None
+
+
 def connect(p, q, sys: ConstraintSystem) -> ConnectPath:
     """Join two solutions by a verified polyline inside the family.
 
     On a two-component stratum the endpoints are first told apart by the
     exact sign of the nappe invariant Q(v, B) (see _nappe_sign): when both
     signs are nonzero and differ, no path exists and the join fails at once,
-    naming both Q values.  Otherwise it tries a case-aware chart route, then
-    the straight line, then a roadmap through sampled intermediate
-    witnesses.  The description comes from solve(sys), and every leg's
-    region check runs at most once a call.
+    naming both Q values.  Otherwise it searches a lazy roadmap (Bohlin &
+    Kavraki, ICRA 2000) of the endpoints, nodes 0 and 1, with _route results
+    as edges built on first use.  The first path is the direct case route;
+    only when it fails are 20 family samples added as nodes, and each round
+    walks a breadth-first path and drops the hop that fails, at most 6 in all.
+    The straight chord comes last unless the direct route was that chord.
+    Every leg's region check runs at most once a call.
     """
     xp = _as_position(sys, p)
     xq = _as_position(sys, q)
@@ -1492,91 +1511,52 @@ def connect(p, q, sys: ConstraintSystem) -> ConnectPath:
                 last_point=tuple(xp),
             )
 
-    last = tuple(xp)
-    message = "continuation stalled"
-
-    def attempt(legs):
-        nonlocal last, message
-        path, partial = _walk_route(sys, legs)
-        if path is not None:
-            return ConnectPath(success=True, points=tuple(tuple(v) for v in path))
-        if partial:
-            last = tuple(partial[-1])
-        message = "corrector failed below the minimal step size"
-        return None
-
     verdicts = {}
     direct = _route(sys, desc, xp, xq, verdicts)
-    if direct is not None:
-        result = attempt(direct)
-        if result is not None:
-            return result
-    result = attempt([_LinearCurve(xp, xq)])
-    if result is not None:
-        return result
+    path, partial = _walk_route(sys, direct) if direct is not None else (None, [])
+    if path is not None:
+        return ConnectPath(success=True, points=tuple(tuple(v) for v in path))
+    last = tuple(partial[-1]) if partial else tuple(xp)
 
-    # roadmap through sampled witnesses, edges = case-aware routable legs
-    rng = np.random.default_rng(11)
-    nodes = [xp, xq]
-    for _ in range(120):
-        if len(nodes) >= 22:
-            break
-        cand = desc.draw(rng)
-        if cand is None:
-            continue
+    def verified(cand):
         x = sys.pack(*cand)
-        if _verify_vertex(sys, x):
-            nodes.append(x)
-    n = len(nodes)
-    legs_for = {}
-    adj = {i: [] for i in range(n)}
-    for i in range(n):
-        for j in range(i + 1, n):
-            legs = _route(sys, desc, nodes[i], nodes[j], verdicts)
-            if legs is not None:
-                legs_for[(i, j)] = legs
-                adj[i].append(j)
-                adj[j].append(i)
-    dead = set()
-    for _ in range(6):
-        # breadth-first search from 0 to 1 avoiding dead edges
-        prev = {0: None}
-        queue = [0]
-        while queue:
-            u = queue.pop(0)
-            if u == 1:
-                break
-            for v in adj[u]:
-                edge = (min(u, v), max(u, v))
-                if v not in prev and edge not in dead:
-                    prev[v] = u
-                    queue.append(v)
-        if 1 not in prev:
+        return x if _verify_vertex(sys, x) else None
+
+    nodes = [xp, xq] + _draws(desc.draw, 11, 20, 120, verified)
+    routes = {(0, 1): None, (1, 0): None}  # legs from u to v; None when missing or dead
+
+    def route(u, v):
+        if (u, v) not in routes:
+            i, j = min(u, v), max(u, v)
+            legs = routes[i, j] = _route(sys, desc, nodes[i], nodes[j], verdicts)
+            routes[j, i] = None if legs is None else [_rev_leg(g) for g in reversed(legs)]
+        return routes[u, v]
+
+    for _ in range(5 if direct is not None else 6):  # the direct route was the first path
+        hops = _roadmap_path(len(nodes), lambda u, v: route(u, v) is not None)
+        if hops is None:
             break
-        hops = []
-        v = 1
-        while prev[v] is not None:
-            hops.append((prev[v], v))
-            v = prev[v]
-        hops.reverse()
         full = []
-        failed_edge = None
         for u, v in hops:
-            edge = (min(u, v), max(u, v))
-            legs = legs_for[edge]
-            if u > v:
-                legs = [_rev_leg(leg) for leg in reversed(legs)]
-            path, partial = _walk_route(sys, legs)
+            path, partial = _walk_route(sys, route(u, v))
             if path is None:
-                failed_edge = edge
-                if partial:
-                    last = tuple(partial[-1])
+                routes[u, v] = routes[v, u] = None
+                last = tuple(partial[-1]) if partial else last
                 break
             full.extend(path if not full else path[1:])
-        if failed_edge is None:
+        else:
             return ConnectPath(success=True, points=tuple(tuple(v) for v in full))
-        dead.add(failed_edge)
-    return ConnectPath(success=False, points=(), message=message, last_point=last)
+    if not (direct and len(direct) == 1 and isinstance(direct[0], _LinearCurve)):
+        path, partial = _walk_route(sys, [_LinearCurve(xp, xq)])
+        if path is not None:
+            return ConnectPath(success=True, points=tuple(tuple(v) for v in path))
+        last = tuple(partial[-1]) if partial else last
+    return ConnectPath(
+        success=False,
+        points=(),
+        message="corrector failed below the minimal step size",
+        last_point=last,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,9 @@
 
 Everything here is deliberately primitive: brute force grids, dense sweeps
 and direct formula evaluation, kept free of the library's own solver logic
-so the two sides of each comparison stay independent.
+so the two sides of each comparison stay independent.  The one exception is
+eager_connect, which keeps the library's routes and walks and replaces only
+the order in which connect searches them.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ import random
 from fractions import Fraction
 
 import numpy as np
+
+import torusbundles.solver_explorer as se
 
 
 # ---------------------------------------------------------------------------
@@ -311,3 +315,91 @@ def float_nappe_sign(d_block, b_mat) -> int:
     vals, vecs = np.linalg.eigh(restr)
     direction = vecs[:, int(np.argmax(vals))]
     return 1 if float(direction @ (kern.T @ np.ravel(b_mat))) > 0 else -1
+
+
+# ---------------------------------------------------------------------------
+# connect with an eagerly built roadmap
+
+
+def eager_connect(p, q, sys) -> se.ConnectPath:
+    """connect's search with every stage run in full, one after the other.
+
+    The direct case route, then the straight chord, then a roadmap of the
+    endpoints and 20 drawn nodes whose 231 edges are all routed before a
+    breadth-first search of at most 6 rounds; the first round walks the
+    direct route again.  Each stage walks its own legs deterministically,
+    so a join succeeds here exactly when connect's lazy search succeeds.  A
+    successful path names the stage that joined in its message.
+    """
+    xp = se._as_position(sys, p)
+    xq = se._as_position(sys, q)
+    if not (se._verify_vertex(sys, xp) and se._verify_vertex(sys, xq)):
+        return se.ConnectPath(success=False, points=())
+    if np.linalg.norm(xp - xq) <= 1e-12:
+        return se.ConnectPath(success=True, points=(tuple(xp),))
+    desc = se.solve(sys)
+    nappe = desc.constants.get("nappe_vector")
+    if nappe is not None:
+        (sp, _), (sq, _) = (se._nappe_sign(nappe, sys.unpack(x)[1]) for x in (xp, xq))
+        if sp * sq < 0:
+            return se.ConnectPath(success=False, points=())
+
+    def joined(path, stage):
+        return se.ConnectPath(success=True, points=tuple(tuple(v) for v in path), message=stage)
+
+    verdicts = {}
+    direct = se._route(sys, desc, xp, xq, verdicts)
+    for stage, legs in (("direct", direct), ("chord", [se._LinearCurve(xp, xq)])):
+        path, _ = se._walk_route(sys, legs) if legs is not None else (None, [])
+        if path is not None:
+            return joined(path, stage)
+    rng = np.random.default_rng(11)
+    nodes = [xp, xq]
+    for _ in range(120):
+        if len(nodes) >= 22:
+            break
+        cand = desc.draw(rng)
+        if cand is not None and se._verify_vertex(sys, sys.pack(*cand)):
+            nodes.append(sys.pack(*cand))
+    n = len(nodes)
+    legs_for = {}
+    adj = {i: [] for i in range(n)}
+    for i in range(n):
+        for j in range(i + 1, n):
+            legs = se._route(sys, desc, nodes[i], nodes[j], verdicts)
+            if legs is not None:
+                legs_for[(i, j)] = legs
+                adj[i].append(j)
+                adj[j].append(i)
+    dead = set()
+    for _ in range(6):
+        prev = {0: None}
+        queue = [0]
+        while queue:
+            u = queue.pop(0)
+            if u == 1:
+                break
+            for v in adj[u]:
+                if v not in prev and (min(u, v), max(u, v)) not in dead:
+                    prev[v] = u
+                    queue.append(v)
+        if 1 not in prev:
+            break
+        hops = []
+        v = 1
+        while prev[v] is not None:
+            hops.append((prev[v], v))
+            v = prev[v]
+        full = []
+        for u, v in reversed(hops):
+            legs = legs_for[(min(u, v), max(u, v))]
+            if u > v:
+                legs = [se._rev_leg(leg) for leg in reversed(legs)]
+            path, _ = se._walk_route(sys, legs)
+            if path is None:
+                dead.add((min(u, v), max(u, v)))
+                break
+            full.extend(path if not full else path[1:])
+        else:
+            return joined(full, "roadmap")
+    return se.ConnectPath(success=False, points=())

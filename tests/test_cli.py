@@ -274,6 +274,27 @@ def test_bad_numbers_exit_2(tmp_path, capsys):
     assert "invalid real structure" in err
 
 
+@pytest.mark.parametrize(
+    "command, doc, flags, rule",
+    [
+        # exit 1 with "connectedness" and component_count 0
+        ("certify", QUADRIC_SYS, ("--samples", "0"), "--samples must be at least 1"),
+        # exit 0 with requested: -2
+        ("sample", QUADRIC_SYS, ("--samples", "-2"), "--samples must be at least 1"),
+        # exit 3, ValueError from the random generator
+        ("certify", QUADRIC_SYS, ("--seed", "-1"), "--seed must be non-negative"),
+        # exit 1 with the prerequisites and D1-D6 failed
+        ("check-real", KOD, ("--tol", "nan"), "--tol must be finite and >= 0"),
+        ("check-real", KOD, ("--tol", "-1"), "--tol must be finite and >= 0"),
+    ],
+)
+def test_out_of_range_options_exit_2(tmp_path, capsys, command, doc, flags, rule):
+    rc, out, err = run(tmp_path, capsys, command, doc, *flags)
+    assert rc == 2
+    assert out == ""
+    assert err == f"input error: {rule}\n"
+
+
 def test_boolean_entries_exit_2(tmp_path, capsys):
     # JSON true used to pass as the integer 1
     doc = json.loads(json.dumps(KOD))

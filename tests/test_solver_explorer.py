@@ -18,7 +18,7 @@ from torusbundles.real_structures import (
     eigensplit,
     rbr2_residual,
 )
-from _oracles import float_nappe_sign, float_restricted_signature
+from _oracles import eager_connect, float_nappe_sign, float_restricted_signature
 from torusbundles.solver_explorer import (
     PATH_TOL,
     WITNESS_TOL,
@@ -423,6 +423,43 @@ def test_sampling_deterministic():
                for x, y in zip(a, c))
 
 
+def test_draws_stops_at_want():
+    calls = []
+    found = se._draws(lambda rng: calls.append(1) or rng.uniform(), 3, 4, 100, lambda x: x)
+    assert len(found) == 4 and len(calls) == 4
+
+
+def test_draws_counts_a_rejected_draw_as_a_try():
+    calls = []
+
+    def every_other(rng):
+        calls.append(1)
+        return None if len(calls) % 2 else rng.uniform()
+
+    assert len(se._draws(every_other, 0, 10, 7, lambda x: x)) == 3
+    assert len(calls) == 7
+
+
+def test_draws_matches_a_hand_written_loop():
+    def draw(rng):
+        x = rng.uniform(-1.0, 1.0)
+        return None if x < -0.5 else x
+
+    def keep(x):
+        return 2 * x if x < 0.6 else None
+
+    rng = np.random.default_rng(13)
+    expected = []
+    for _ in range(40):
+        if len(expected) >= 9:
+            break
+        x = draw(rng)
+        if x is not None and keep(x) is not None:
+            expected.append(keep(x))
+    assert se._draws(draw, 13, 9, 40, keep) == expected
+    assert len(expected) == 9
+
+
 def test_sampling_empty_family_raises():
     with pytest.raises(ValueError, match="empty solution family"):
         sample_solutions(kod(1, 1, -1, 1), 3)
@@ -484,6 +521,72 @@ def test_connect_rejects_nonsolution_endpoint():
     path = connect(w, bad, cs)
     assert not path.success
     assert "end point" in path.message
+
+
+def _direct_walks(walked, xp, xq):
+    """Walked routes that are one non-chord leg from xp to xq."""
+    return [legs for legs in walked
+            if len(legs) == 1 and not isinstance(legs[0], se._LinearCurve)
+            and np.allclose(legs[0](0.0), xp) and np.allclose(legs[0](1.0), xq)]
+
+
+def test_connect_walks_a_failed_direct_route_once(monkeypatch):
+    cs = kod(0, 2, 1, 0)  # hyperbola: the direct route is not the chord
+    p, q = sample_solutions(cs, 2, seed=0)
+    walked = []
+
+    def failing(sys, legs):
+        walked.append(legs)
+        return None, []
+
+    monkeypatch.setattr(se, "_walk_route", failing)
+    path = connect(p, q, cs)
+    assert not path.success
+    assert len(_direct_walks(walked, p.position(), q.position())) == 1
+    # the chord comes last, once; the roadmap rounds walk 5 more paths
+    assert [isinstance(legs[0], se._LinearCurve) for legs in walked].count(True) == 1
+    assert isinstance(walked[-1][0], se._LinearCurve)
+    assert len(walked) == 1 + 5 + 1
+
+
+def test_connect_direct_join_builds_no_roadmap(monkeypatch):
+    for cs in (kod(0, 2, 1, 0), three(1.0, 1.0, np.zeros((2, 2)), ZL, ZL, ZL, ZL)):
+        p, q = sample_solutions(cs, 2, seed=1)
+        desc = solve(cs)
+        se._family_mids(cs, desc)  # the quadric's bend samples, drawn once per description
+        routed, drawn = [], []
+        real_route, real_draw = se._route, desc._draw
+        monkeypatch.setattr(se, "_route", lambda *a: routed.append(a) or real_route(*a))
+        monkeypatch.setattr(desc, "_draw", lambda rng: drawn.append(rng) or real_draw(rng))
+        assert connect(p, q, cs).success
+        assert len(routed) == 1
+        assert drawn == []
+        monkeypatch.undo()
+
+
+def test_lazy_roadmap_joins_what_the_eager_search_joins():
+    # (system, sampler seed): region, quadric and L.mpzero join by their
+    # direct routes; on the two-sided hypersurface and the L.ppzero quadrant
+    # system the eager search also joins some pairs by the chord or the roadmap
+    systems = (
+        (three(0.0, 0.0, np.zeros((2, 2)), ZL, ZL, ZL, ZL), 0),
+        (three(1.0, 1.0, np.zeros((2, 2)), ZL, ZL, ZL, ZL), 0),
+        (three(1.0, 1.0, np.eye(2), [1, 1], ZL, ZL, [1, 0]), 0),
+        (three(-1.0, -2.0, [[0, 3], [-3, -2]], ZL, ZL, ZL, ZL), 2),
+        (three(1.0, 3.0, [[-1, -1], [1, -2]], ZL, [1, -1], [-1, 0], ZL), 0),
+    )
+    assert [(solve(cs).case_label, solve(cs).kind) for cs, _ in systems] == [
+        ("L0.D0", "region"), ("L0.D0", "quadric"), ("L.mpzero", "quadrant"),
+        ("L0.Dnz", "hypersurface"), ("L.ppzero", "quadrant")]
+    stages = []
+    for cs, seed in systems:
+        ws = sample_solutions(cs, 6, seed=seed)
+        assert len(ws) == 6
+        for p, q in itertools.combinations(ws, 2):
+            eager = eager_connect(p, q, cs)
+            assert connect(p, q, cs).success == eager.success
+            stages.append(eager.message if eager.success else "failed")
+    assert {"direct", "chord", "roadmap", "failed"} <= set(stages)
 
 
 SPLIT_D = ([[1, 0], [0, 1]], [[2, 1], [-1, 3]], [[-1, 2], [-3, 1]])
