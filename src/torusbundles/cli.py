@@ -135,11 +135,28 @@ def _load_real_structure(doc, datum) -> RealStructureData:
         raise InputError(f"invalid real structure: {exc}") from exc
 
 
+def _require_floats(datum, rs=None):
+    """Exit 2 naming the first exact field with an entry beyond the float
+    range; the commands that compute in floats read these fields as floats."""
+    fields = {"components": datum.components}
+    if rs is not None:
+        fields.update(A1=rs.A1, A2=rs.A2, L=rs.L, d1=rs.d1, d2=rs.d2)
+    for key, values in fields.items():
+        try:
+            np.array(values, dtype=float)
+        except OverflowError:
+            raise InputError(f"{key} has an entry beyond the float range") from None
+
+
+def _structure_block(rs: RealStructureData) -> dict:
+    return {key: getattr(rs, key) for key in ("A1", "A2", "L", "d1", "d2")}
+
+
 def _load_pair(doc, datum) -> ComplexStructurePair:
     try:
         j1 = np.array(doc["J1"], dtype=float) if "J1" in doc else standard_structure(datum.d)
         j2 = np.array(doc["J2"], dtype=float) if "J2" in doc else standard_structure(datum.m)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"invalid complex structure pair: {exc}") from exc
     try:
         return ComplexStructurePair(J1=j1, J2=j2)
@@ -160,7 +177,7 @@ def _load_system(doc) -> ConstraintSystem:
             m = int(block.get("m", len(rows[0])))
             scalars = np.array([block.get("a_plus", 0.0), block.get("a_minus", 0.0)], dtype=float)
             d_block = np.array(block.get("D", np.zeros((m, m))), dtype=float)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"invalid system block: {exc}") from exc
         if not all(np.isfinite(arr).all() for arr in (scalars, d_block, *rows)):
             raise InputError("invalid system block: entries must be finite numbers")
@@ -173,7 +190,7 @@ def _load_system(doc) -> ConstraintSystem:
         rs = _load_real_structure(doc, datum)
         try:
             return ConstraintSystem.from_split(eigensplit(datum, rs))
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             raise InputError(f"cannot derive a system from the real structure: {exc}") from exc
     raise InputError("need a 'system' block or a 'real_structure' block")
 
@@ -203,6 +220,7 @@ def _cmd_check_bundle(doc, args):
 def _cmd_check_real(doc, args):
     datum = _load_datum(doc)
     rs = _load_real_structure(doc, datum)
+    _require_floats(datum, rs)
     pair = _load_pair(doc, datum)
     integral = check_integral_conditions(datum, rs)
     tol = args.tol if args.tol is not None else 1e-8
@@ -228,6 +246,7 @@ def _cmd_check_real(doc, args):
 
 def _cmd_decompose(doc, args):
     datum = _load_datum(doc)
+    _require_floats(datum)
     pair = _load_pair(doc, datum)
     try:
         residual = riemann_residual(datum, pair)
@@ -331,17 +350,7 @@ def _cmd_reconstruct(doc, args):
         except ValueError as exc:
             report = {"command": "reconstruct", "failed": ["consistency"], "error": str(exc)}
             return report, ["consistency"]
-        report = {
-            "command": "reconstruct",
-            "real_structure": {
-                "A1": rec.A1,
-                "A2": rec.A2,
-                "L": rec.L,
-                "d1": rec.d1,
-                "d2": rec.d2,
-            },
-        }
-        return report, []
+        return {"command": "reconstruct", "real_structure": _structure_block(rec)}, []
     rs = _load_real_structure(doc, datum)
     data = orbifold_data(datum, rs)
     rec = reconstruct_from_orbifold(datum, data)
@@ -357,13 +366,7 @@ def _cmd_reconstruct(doc, args):
             "square_translation_y": data.square_translation_y,
             "square_translation_x": data.square_translation_x,
         },
-        "real_structure": {
-            "A1": rec.A1,
-            "A2": rec.A2,
-            "L": rec.L,
-            "d1": rec.d1,
-            "d2": rec.d2,
-        },
+        "real_structure": _structure_block(rec),
         "round_trip_exact": exact,
     }
     failed = [] if exact else ["round-trip"]

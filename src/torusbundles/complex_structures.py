@@ -31,6 +31,7 @@ the residuals, and the action, all in double precision.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -65,55 +66,57 @@ def hodge_subspace(J) -> np.ndarray:
     """
     J = _as_square(J, "J")
     _check_complex_structure(J, "J")
-    return _candidate_columns(J)[:, _greedy_columns(J)]
+    return _hodge_basis(J)
 
 
-def _candidate_columns(J: np.ndarray) -> np.ndarray:
+def _hodge_basis(J: np.ndarray) -> np.ndarray:
     n = J.shape[0]
-    return np.eye(n) - 1j * J
-
-
-def _greedy_columns(J: np.ndarray):
-    cand = _candidate_columns(J)
-    n = J.shape[0]
+    cand = np.eye(n) - 1j * J
     chosen: list[int] = []
     for j in range(n):
-        trial = cand[:, chosen + [j]]
-        if np.linalg.matrix_rank(trial) == len(chosen) + 1:
+        if np.linalg.matrix_rank(cand[:, chosen + [j]]) == len(chosen) + 1:
             chosen.append(j)
         if len(chosen) == n // 2:
             break
-    return chosen
+    return cand[:, chosen]
 
 
 def orientation_preserving(J) -> bool:
-    """Sign of the real basis (x_j, J x_j) built from the selected columns."""
-    J = _as_square(J, "J")
-    n = J.shape[0]
-    idx = _greedy_columns(J)
-    cols = []
-    eye = np.eye(n)
-    for j in idx:
-        cols.append(eye[:, j])
-        cols.append(J @ eye[:, j])
+    """Sign of the real basis (x_j, J x_j) built from the selected columns,
+    each of which is x_j - i J x_j."""
+    basis = _hodge_basis(_as_square(J, "J"))
+    cols = [part for col in basis.T for part in (col.real, -col.imag)]
     return float(np.linalg.det(np.column_stack(cols))) > 0
 
 
 @dataclass(eq=False)
 class ComplexStructurePair:
-    """Complex structures J1 (fiber, 2d x 2d) and J2 (base, 2m x 2m)."""
+    """Complex structures J1 (fiber, 2d x 2d) and J2 (base, 2m x 2m).
+
+    Each frame is built on first use, so a pair whose Hodge columns do not
+    span fails where a frame is first needed, not here.
+    """
 
     J1: np.ndarray
     J2: np.ndarray
-    orientation_ok: bool | None = None
 
     def __post_init__(self):
         self.J1 = _as_square(self.J1, "J1")
         self.J2 = _as_square(self.J2, "J2")
         _check_complex_structure(self.J1, "J1")
         _check_complex_structure(self.J2, "J2")
-        if self.orientation_ok is None:
-            self.orientation_ok = orientation_preserving(self.J1) and orientation_preserving(self.J2)
+
+    @property
+    def orientation_ok(self) -> bool:
+        return orientation_preserving(self.J1) and orientation_preserving(self.J2)
+
+    @cached_property
+    def frame1(self) -> _Frame:
+        return _Frame(self.J1)
+
+    @cached_property
+    def frame2(self) -> _Frame:
+        return _Frame(self.J2)
 
 
 def standard_structure(k: int) -> np.ndarray:
@@ -126,26 +129,21 @@ def standard_structure(k: int) -> np.ndarray:
 
 
 class _Frame:
-    """Basis bookkeeping for one complex structure."""
+    """Basis bookkeeping for one complex structure: the Hodge columns are
+    picked once and [V, conj V] is factored once."""
 
     def __init__(self, J: np.ndarray):
         self.J = J
-        self.basis = hodge_subspace(J)
+        self.basis = _hodge_basis(J)
         n = J.shape[0]
-        self.full = np.column_stack([self.basis, np.conj(self.basis)])
-        if np.linalg.matrix_rank(self.full) != n:
+        full = np.column_stack([self.basis, np.conj(self.basis)])
+        if np.linalg.matrix_rank(full) != n:
             raise ValueError("eigenspace and conjugate do not span")
-        self.half = n // 2
-
-    def coords(self, w) -> np.ndarray:
-        """Coordinates (V part then conjugate part) of ambient vectors.
-
-        Accepts a vector or a matrix of column vectors.
-        """
-        return np.linalg.solve(self.full, np.asarray(w, dtype=complex))
+        self._plus_rows = np.linalg.inv(full)[: n // 2]
 
     def plus_coords(self, w) -> np.ndarray:
-        return self.coords(w)[: self.half]
+        """V coordinates of an ambient vector or of a matrix of columns."""
+        return self._plus_rows @ np.asarray(w, dtype=complex)
 
     def project_plus(self, w) -> np.ndarray:
         """Ambient projection onto the +i eigenspace along its conjugate."""
@@ -165,7 +163,8 @@ def riemann_residual(datum: BundleDatum, pair: ComplexStructurePair) -> float:
         A(x, J2 y) + A(J2 x, y) - J1 A(x, y) + J1 A(J2 x, J2 y)
 
     on the standard basis.  The two routes are algebraically identical, so
-    their values must match to 1e-10, and the maximum is returned.
+    their values must match to 1e-10, and the maximum is returned; a pair
+    too ill-conditioned for them to agree raises ValueError.
     """
     comps = _components_array(datum)
     J1, J2 = pair.J1, pair.J2
@@ -179,18 +178,18 @@ def riemann_residual(datum: BundleDatum, pair: ComplexStructurePair) -> float:
     r_ident = float(np.max(np.abs(ident)))
 
     # component extraction route: pair conjugate eigenvectors, project to U
-    frame1 = _Frame(J1)
     conj_cols = np.eye(2 * datum.m) + 1j * J2
     vals = np.einsum("ri,krs,sj->kij", conj_cols, comps.astype(complex), conj_cols)
     n = 2 * datum.m
     flat = vals.reshape(2 * datum.d, n * n)
-    projected = frame1.basis @ frame1.plus_coords(flat)
+    projected = pair.frame1.project_plus(flat)
     extracted = 2.0 * np.imag(projected).reshape(2 * datum.d, n, n)
     r_extract = float(np.max(np.abs(extracted)))
 
     if abs(r_ident - r_extract) > 1e-10 * max(1.0, r_ident):
-        raise RuntimeError(
-            f"compatibility residual routes disagree: {r_ident} vs {r_extract}"
+        raise ValueError(
+            f"compatibility residual routes disagree: {r_ident} vs {r_extract};"
+            " the pair is too ill-conditioned to decide compatibility in floats"
         )
     return max(r_ident, r_extract)
 
@@ -234,8 +233,7 @@ def decompose(datum: BundleDatum, pair: ComplexStructurePair, tol: float = 1e-8)
     if defect > tol:
         raise ValueError(f"form is not compatible with the pair: residual {defect}")
     comps = _components_array(datum)
-    frame1 = _Frame(pair.J1)
-    frame2 = _Frame(pair.J2)
+    frame1, frame2 = pair.frame1, pair.frame2
     V = frame2.basis
     d, m = datum.d, datum.m
 

@@ -1395,7 +1395,11 @@ def _route(sys: ConstraintSystem, desc: SolutionSetDescription, xp, xq, verdicts
         # graph value of b extends continuously to a positive limit
         mids_p = _family_mids(sys, desc, sign=sp)
         mids_q = _family_mids(sys, desc, sign=sq)
-        for b_star in _stratum_candidates(sys):
+        # the stratum points depend only on the system: drawn once, kept
+        # with the description's mids
+        if "stratum" not in desc._mids:
+            desc._mids["stratum"] = _stratum_candidates(sys)
+        for b_star in desc._mids["stratum"]:
             got_in = _stratum_approach(sys, graph_leg, xp, b_star, mids_p)
             if got_in is None:
                 continue

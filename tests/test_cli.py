@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from torusbundles import cli
+from torusbundles import cli, complex_structures
 from torusbundles.cli import main
 
 KOD = {
@@ -434,3 +434,55 @@ def test_wrong_pair_size_exit_2(tmp_path, capsys):
     rc, _, err = run(tmp_path, capsys, "decompose", doc)
     assert rc == 2
     assert "pair" in err
+
+
+def _kod_with(components=KOD["components"], **real_structure):
+    return {**KOD, "components": components,
+            "real_structure": {**KOD["real_structure"], **real_structure}}
+
+
+@pytest.mark.parametrize(
+    "doc, readers",
+    [
+        # an exact integer of 10**400 has no float value
+        (_kod_with(components=[[[0, 10**400], [-(10**400), 0]], [[0, 0], [0, 0]]]),
+         ("check-real", "decompose", "solve", "sample", "certify")),
+        (_kod_with(d1=[0, "1e400"]), ("check-real",)),
+        (_kod_with(L=[["1e400", 0], [0, 0]]), ("check-real", "solve", "sample", "certify")),
+        ({**KOD, "J2": [[0, -(10**400)], [1, 0]]}, ("check-real", "decompose")),
+        ({**KOD, "system": {**QUADRIC_SYS["system"], "a_plus": 10**400}},
+         ("solve", "sample", "certify")),
+    ],
+    ids=["components", "d1", "L", "J2", "system"],
+)
+def test_entries_beyond_float_range_exit_2(tmp_path, capsys, doc, readers):
+    # these used to escape as an OverflowError with exit 3
+    for command in readers:
+        rc, _, err = run(tmp_path, capsys, command, doc)
+        assert rc == 2, command
+        assert err.startswith("input error:") and len(err.strip().splitlines()) == 1
+    # the exact commands read them exactly
+    for command in ("check-bundle", "reconstruct"):
+        assert run(tmp_path, capsys, command, doc)[0] == 0
+
+
+def test_disagreeing_residual_routes_exit_2(tmp_path, capsys):
+    # J2^2 = 0 here passes the J^2 test, whose bound is relative to
+    # max |J|^2 = 1e32; the two residual routes then disagree (used to exit 3)
+    doc = {**KOD, "J2": [[1e8, -1e16], [1, -1e8]]}
+    for command in ("decompose", "check-real"):
+        rc, _, err = run(tmp_path, capsys, command, doc)
+        assert rc == 2, command
+        assert "residual routes disagree" in err and len(err.strip().splitlines()) == 1
+
+
+def test_each_structure_gets_one_frame(tmp_path, capsys, monkeypatch):
+    built = []
+    real_frame = complex_structures._Frame
+    monkeypatch.setattr(complex_structures, "_Frame", lambda J: built.append(J) or real_frame(J))
+    pair = cli._load_pair(KOD, cli._load_datum(KOD))
+    assert built == [] and pair.orientation_ok  # a pair builds its frames on first use
+    for command in ("check-real", "decompose"):
+        built.clear()
+        assert run(tmp_path, capsys, command, KOD)[0] == 0
+        assert len(built) == 2, command

@@ -704,6 +704,34 @@ def test_certificate_detects_stratum_split(monkeypatch):
     assert solved == [cs]  # one solve serves the sampler and every join
 
 
+def test_stratum_points_drawn_once_per_certificate(monkeypatch):
+    # two-sided hypersurface: joins across b' = 0 route through the stratum,
+    # whose points depend only on the system
+    def certificates():
+        out = []
+        for seed in range(20):
+            drawn.clear()
+            cs = three(-1.0, -2.0, [[0, 3], [-3, -2]], ZL, ZL, ZL, ZL)
+            out.append(json.dumps(connectivity_certificate(cs, samples=6, seed=seed).to_dict()))
+            counts.append(len(drawn))
+        return out
+
+    drawn, counts = [], []
+    real_candidates, real_route = se._stratum_candidates, se._route
+    monkeypatch.setattr(se, "_stratum_candidates", lambda cs: drawn.append(cs) or real_candidates(cs))
+    kept = certificates()
+    assert max(counts) == 1
+    counts.clear()
+
+    def redrawing_route(cs, desc, *rest):
+        desc._mids.pop("stratum", None)
+        return real_route(cs, desc, *rest)
+
+    monkeypatch.setattr(se, "_route", redrawing_route)
+    assert certificates() == kept  # the same certificates as a draw on every route
+    assert sum(counts) > 20
+
+
 def test_split_certificates_prove_their_components():
     for d_block in SPLIT_D:
         cs = three(0.0, 0.0, d_block, ZL, ZL, ZL, ZL)
