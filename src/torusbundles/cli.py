@@ -16,9 +16,9 @@ import numpy as np
 
 from .complex_structures import (
     ComplexStructurePair,
+    IncompatibleFormError,
     decompose,
     is_parallelizable,
-    riemann_residual,
     standard_structure,
 )
 from .lattice_core import BundleDatum, is_nondegenerate, pfaffian_reality
@@ -248,34 +248,25 @@ def _cmd_decompose(doc, args):
     datum = _load_datum(doc)
     _require_floats(datum)
     pair = _load_pair(doc, datum)
-    try:
-        residual = riemann_residual(datum, pair)
-    except ValueError as exc:
-        raise InputError(f"invalid complex structure pair: {exc}") from exc
     tol = args.tol if args.tol is not None else 1e-8
-    failed = []
-    report = {
-        "command": "decompose",
-        "compatibility_residual": residual,
-    }
-    if residual > tol:
-        failed.append("first-compatibility-equation")
-        report["failed"] = failed
-        return report, failed
     try:
         dec = decompose(datum, pair, tol=tol)
+    except IncompatibleFormError as exc:
+        failed = ["first-compatibility-equation"]
+        report = {"command": "decompose", "compatibility_residual": exc.residual, "failed": failed}
+        return report, failed
     except ValueError as exc:
         raise InputError(f"cannot decompose the complex structure pair: {exc}") from exc
-    report.update(
-        {
-            "B_prime": dec.B_prime,
-            "B_doubleprime": dec.B_doubleprime,
-            "riemann_defect": dec.riemann_defect,
-            "reconstruction_residual": dec.reconstruction_residual,
-            "parallelizable": is_parallelizable(dec),
-        }
-    )
-    return report, failed
+    report = {
+        "command": "decompose",
+        "compatibility_residual": dec.riemann_defect,
+        "B_prime": dec.B_prime,
+        "B_doubleprime": dec.B_doubleprime,
+        "riemann_defect": dec.riemann_defect,
+        "reconstruction_residual": dec.reconstruction_residual,
+        "parallelizable": is_parallelizable(dec),
+    }
+    return report, []
 
 
 def _cmd_solve(doc, args):

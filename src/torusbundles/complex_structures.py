@@ -221,17 +221,25 @@ class HodgeDecomposition:
         return self.B_prime.shape[1]
 
 
+class IncompatibleFormError(ValueError):
+    """The form is not compatible with the pair; residual is the defect found."""
+
+    def __init__(self, residual: float):
+        super().__init__(f"form is not compatible with the pair: residual {residual}")
+        self.residual = residual
+
+
 def decompose(datum: BundleDatum, pair: ComplexStructurePair, tol: float = 1e-8) -> HodgeDecomposition:
     """Split a compatible form into its B' and B'' pieces.
 
-    Raises when the compatibility residual exceeds tol.  The returned
-    object also records how well the pieces reassemble the original form
-    on the standard basis (for exactly compatible input this is at the
-    rounding level, below 1e-12 relative).
+    Raises IncompatibleFormError when the compatibility residual exceeds
+    tol.  The returned object also records how well the pieces reassemble
+    the original form on the standard basis (for exactly compatible input
+    this is at the rounding level, below 1e-12 relative).
     """
     defect = riemann_residual(datum, pair)
     if defect > tol:
-        raise ValueError(f"form is not compatible with the pair: residual {defect}")
+        raise IncompatibleFormError(defect)
     comps = _components_array(datum)
     frame1, frame2 = pair.frame1, pair.frame2
     V = frame2.basis
@@ -349,12 +357,16 @@ def fiber_lattice_coordinates(dec: HodgeDecomposition, u, tol: float = 1e-8):
 
     Solves the real 2d x 2d system expressing u over the projections of the
     standard lattice basis and accepts when the solution is integral to tol.
+    A coordinate beyond 2**53 (or not finite) raises ValueError: every float
+    that large is an integer, so integrality says nothing there.
     """
     d = dec.d
     pi = dec._frame1.plus_coords(np.eye(2 * d))
     mat = np.vstack([np.real(pi), np.imag(pi)])
     rhs = np.concatenate([np.real(u), np.imag(u)])
     z = np.linalg.solve(mat, rhs)
+    if not np.all(np.abs(z) <= 2.0**53):
+        raise ValueError("fiber lattice coordinates beyond 2**53 cannot be decided in floats")
     rounded = np.round(z)
     if np.max(np.abs(z - rounded)) <= tol:
         return rounded.astype(int)

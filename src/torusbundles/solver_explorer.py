@@ -10,7 +10,7 @@ cut out the family of compatible complex structures inside the open
 region {b > 0, det(B) > 0}.  This module classifies the family into an
 exhaustive case tree, produces closed-form descriptions with verified
 sample witnesses, and certifies connectedness numerically by joining
-witnesses with corrected continuation paths.
+witnesses with verified paths that lie on the family by construction.
 """
 
 from __future__ import annotations
@@ -336,7 +336,8 @@ class SolutionSetDescription:
     whether b ranges over an interval of positive length, so the total
     dimension of the family is dimension + (1 if b_free else 0).  For a
     one-dimensional base both coordinates live in the same plane and
-    dimension is the total dimension directly.
+    dimension is the total dimension directly.  A chart with a convex domain
+    is kept as _chart = (point to (b, B), its inverse params at a solution).
     """
 
     case_label: str
@@ -348,6 +349,7 @@ class SolutionSetDescription:
     notes: tuple = ()
     system: ConstraintSystem | None = field(default=None, repr=False)
     _draw: object = field(default=None, repr=False)
+    _chart: tuple | None = field(default=None, repr=False)
     _mids: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -434,7 +436,7 @@ def _draw_witnesses(sys, desc, seed, want, tries) -> list:
     return _draws(desc.draw, seed, want, tries, verified)
 
 
-def _nonempty(sys, label, kind, dim, b_free, constants, draw, notes=()):
+def _nonempty(sys, label, kind, dim, b_free, constants, draw, notes=(), chart=None):
     """A nonempty description with three deterministic verified witnesses."""
     desc = SolutionSetDescription(
         case_label=label,
@@ -445,6 +447,7 @@ def _nonempty(sys, label, kind, dim, b_free, constants, draw, notes=()):
         notes=tuple(notes),
         system=sys,
         _draw=draw,
+        _chart=chart,
     )
     desc.witnesses = tuple(_draw_witnesses(sys, desc, 0, 3, 400))
     if not desc.witnesses:
@@ -622,8 +625,8 @@ def solve_kodaira(sys: ConstraintSystem) -> SolutionSetDescription:
     consts = {"l_pp": lpp, "l_pm": lpm, "l_mp": lmp, "l_mm": lmm}
     label = "kodaira"
 
-    def desc(kind, dim, draw, extra=None):
-        return _nonempty(sys, label, kind, dim, False, {**consts, **(extra or {})}, draw)
+    def desc(kind, dim, draw, extra=None, chart=None):
+        return _nonempty(sys, label, kind, dim, False, {**consts, **(extra or {})}, draw, (), chart)
 
     if _near_zero(lmm, sc):
         if not _near_zero(lpp, sc):
@@ -640,11 +643,11 @@ def solve_kodaira(sys: ConstraintSystem) -> SolutionSetDescription:
         # b1 = kappa / b2 and b2 share the box only while kappa <= _BOX^2
         box = _BOX if kappa <= _BOX * _BOX else 2.0 * math.sqrt(kappa)
 
-        def draw_hyp(rng):
-            b2 = rng.uniform(max(0.05, kappa / box), box)
+        def point(b2):
             return kappa / b2, [[b2]]
 
-        return desc("hyperbola", 1, draw_hyp, {"kappa": kappa})
+        return desc("hyperbola", 1, lambda rng: point(rng.uniform(max(0.05, kappa / box), box)),
+                    {"kappa": kappa}, (point, lambda x: x[1]))
     if lpp * lmm >= 0 or _near_zero(lpp, sc):
         return _empty(sys, label, consts, ["no positive b1 satisfies the first equation"])
     slope = -lpp / lmm
@@ -709,6 +712,42 @@ def _halfplane_draw(assemble, row, draw_b):
     return draw
 
 
+def _chart_row(t_inv, x) -> np.ndarray:
+    """The free row w of B = T [r; w] at a packed position x, from T^-1."""
+    return (t_inv @ np.reshape(x[1:], (2, 2)))[1]
+
+
+def _band_chart(assemble, row, level, t_inv):
+    """Chart (b, z) -> assemble(b, s) with s = level(b) row / |row|^2 + z row^perp.
+
+    Returns (point, params); on the band row . s = level(b) is the forced
+    positive quantity and z the free coordinate along the band.
+    """
+    zdir = _complement_row(row)
+
+    def point(p):
+        b, z = p
+        s = level(b) * row / float(row @ row) + z * zdir
+        return assemble(b, s[0], s[1])
+
+    def params(x):
+        return np.array([x[0], float(_chart_row(t_inv, x) @ zdir) / float(zdir @ zdir)])
+
+    return point, params
+
+
+def _interval_band_draw(chart, interval, level):
+    """Draw of b in the open interval, rejected unless level(b) > 0, and z, mapped by the chart."""
+
+    def draw(rng):
+        b = _draw_from_interval(rng, *interval)
+        if level(b) <= REGION_TOL:
+            return None
+        return chart[0]((b, rng.uniform(-_BOX, _BOX)))
+
+    return draw
+
+
 def solve_threefold(sys: ConstraintSystem) -> SolutionSetDescription:
     """Describe the solution family {(b, B)} for a 2-dim base, d = 1."""
     if sys.m != 2:
@@ -718,8 +757,8 @@ def solve_threefold(sys: ConstraintSystem) -> SolutionSetDescription:
     a_p, a_m = sys.a_plus, sys.a_minus
     sc = sys.scale
 
-    def desc(kind, dim, b_free, draw, notes=()):
-        return _nonempty(sys, label, kind, dim, b_free, c, draw, notes)
+    def desc(kind, dim, b_free, draw, notes=(), chart=None):
+        return _nonempty(sys, label, kind, dim, b_free, c, draw, notes, chart)
 
     def draw_b(rng):
         return rng.uniform(0.05, _BOX)
@@ -792,11 +831,11 @@ def solve_threefold(sys: ConstraintSystem) -> SolutionSetDescription:
         if _near_zero(c1, sc * sc):
             if _near_zero(c0, sc * sc):
 
-                def draw_curve(rng):
-                    b = draw_b(rng)
+                def point(b):
                     return b, m1 * b + m2 / b
 
-                return desc("curve", 0, True, draw_curve)
+                chart = (point, lambda x: x[0])
+                return desc("curve", 0, True, lambda rng: point(draw_b(rng)), (), chart)
             return _empty(sys, label, c, ["constant equation c = 0 fails"])
         bsq = -c0 / c1
         if bsq <= 0:
@@ -889,16 +928,22 @@ def solve_threefold(sys: ConstraintSystem) -> SolutionSetDescription:
         tau_row = np.array([a0, a2])
         jac = _det2(np.vstack([tau_row, rho_row]))
         c["tau_rho_det"] = jac
+        t_inv = _inv2(t)
         if not _near_zero(jac, sc * sc):
-
-            def draw_quadrant(rng):
-                b = draw_b(rng)
-                rho = rng.uniform(0.05, _BOX)
+            # chart (b, rho) on the quadrant b, rho > 0, where det B = b rho
+            def point(p):
+                b, rho = p
                 tau = -(a_m + b * b * c1) / b
                 sol = np.linalg.solve(np.vstack([tau_row, rho_row]), np.array([tau, rho]))
                 return assemble(b, sol[0], sol[1])
 
-            return desc("quadrant", 1, True, draw_quadrant)
+            def params(x):
+                return np.array([x[0], rho_row @ _chart_row(t_inv, x)])
+
+            def draw(rng):
+                return point((draw_b(rng), rng.uniform(0.05, _BOX)))
+
+            return desc("quadrant", 1, True, draw, (), (point, params))
         if _near_zero(np.abs(tau_row).max(), sc):
             if _near_zero(c1, sc * sc):
                 if a_m == 0:
@@ -919,18 +964,13 @@ def solve_threefold(sys: ConstraintSystem) -> SolutionSetDescription:
         c["b_interval"] = interval
         if interval is None:
             return _empty(sys, label, c, ["no b > 0 gives the forced rho a positive sign"])
-        zdir = _complement_row(rho_row)
 
-        def draw_band(rng):
-            b = _draw_from_interval(rng, *interval)
-            rho = -(a_m + b * b * c1) / (b * cf)
-            if rho <= REGION_TOL:
-                return None
-            base = rho * rho_row / float(rho_row @ rho_row)
-            s = base + rng.uniform(-_BOX, _BOX) * zdir
-            return assemble(b, s[0], s[1])
+        def band_rho(b):
+            return -(a_m + b * b * c1) / (b * cf)
 
-        return desc("interval-band", 1, True, draw_band)
+        chart = _band_chart(assemble, rho_row, band_rho, t_inv)
+        draw = _interval_band_draw(chart, interval, band_rho)
+        return desc("interval-band", 1, True, draw, (), chart)
 
     # label == "L.ppzero"
     if not all(_near_zero(v, sc) for v in sys.l_mm):
@@ -938,6 +978,7 @@ def solve_threefold(sys: ConstraintSystem) -> SolutionSetDescription:
     if all(_near_zero(v, sc) for v in sys.l_pm):
         return _empty(sys, label, c, ["second equation squeezes B to a singular matrix"])
     t = c["transform"]
+    t_inv = _inv2(t)
     l1, l2, k, jac = c["l1"], c["l2"], c["k"], c["jac"]
     dp = c["D_t"]
 
@@ -945,24 +986,35 @@ def solve_threefold(sys: ConstraintSystem) -> SolutionSetDescription:
         bw = np.array([[l1 / b, l2 / b], [b21, b22]])
         return b, t @ bw
 
-    x_row = np.array([-l2, l1])  # x = l1 b22 - l2 b21 as a row on (b21, b22)
+    x_row = np.array([-l2, l1])  # x = l1 b22 - l2 b21 as a row on (b21, b22), det B = x / b
     if not _near_zero(jac, sc * sc):
-
-        def draw_quadrant2(rng):
-            b = draw_b(rng)
-            x = rng.uniform(0.05, _BOX)
+        # chart (b, x) on the quadrant b, x > 0
+        def point(p):
+            b, x = p
             y = -b * k
             y_row = np.array([-dp[1, 1] * b * b + a_p * l2, dp[0, 1] * b * b - a_p * l1])
-            sol = np.linalg.solve(np.vstack([x_row, y_row]), np.array([x, y]))
+            rows = np.vstack([x_row, y_row])
+            if abs(_det2(rows)) <= ZERO_TOL * abs(jac):  # det = -b^2 jac: singular as b -> 0
+                return None
+            sol = np.linalg.solve(rows, np.array([x, y]))
             return assemble_pp(b, sol[0], sol[1])
 
-        return desc("quadrant", 1, True, draw_quadrant2)
+        def params(x):
+            return np.array([x[0], x_row @ _chart_row(t_inv, x)])
+
+        def draw(rng):
+            return point((draw_b(rng), rng.uniform(0.05, _BOX)))
+
+        return desc("quadrant", 1, True, draw, (), (point, params))
     cf = c["c"]
-    zdir = _complement_row(x_row)
     if _near_zero(k, sc):
+        # chart (b, s) on {b > 0, x > 0}, or on its slice b = bhat
+        plane = (lambda p: assemble_pp(p[0], p[1], p[2]),
+                 lambda x: np.concatenate(([x[0]], _chart_row(t_inv, x))))
         if _near_zero(cf, sc):
             if a_p == 0:
-                return desc("halfplane", 2, True, _halfplane_draw(assemble_pp, x_row, draw_b))
+                draw_plane = _halfplane_draw(assemble_pp, x_row, draw_b)
+                return desc("halfplane", 2, True, draw_plane, (), plane)
             return _empty(sys, label, c, ["equation c b^2 = a_plus has no root with c = 0"])
         bsq = a_p / cf
         if bsq <= 0:
@@ -970,34 +1022,23 @@ def solve_threefold(sys: ConstraintSystem) -> SolutionSetDescription:
         bhat = math.sqrt(bsq)
         c["bhat"] = bhat
         draw_plane = _halfplane_draw(assemble_pp, x_row, lambda rng: bhat)
-        return desc("halfplane", 2, False, draw_plane)
+        return desc("halfplane", 2, False, draw_plane, (), plane)
     if _near_zero(cf, sc):
         if a_p == 0 or k / a_p <= 0:
             return _empty(sys, label, c, ["forced x = b k / a_plus is not positive"])
-
-        def draw_ray2(rng):
-            b = draw_b(rng)
-            x = b * k / a_p
-            base = x * x_row / float(x_row @ x_row)
-            s = base + rng.uniform(-_BOX, _BOX) * zdir
-            return assemble_pp(b, s[0], s[1])
-
-        return desc("band", 1, True, draw_ray2)
+        chart = _band_chart(assemble_pp, x_row, lambda b: b * k / a_p, t_inv)
+        return desc("band", 1, True, lambda rng: chart[0]((draw_b(rng), rng.uniform(-_BOX, _BOX))),
+                    (), chart)
     interval = _interval_of_sign(cf, a_p, -1 if k > 0 else 1)
     c["b_interval"] = interval
     if interval is None:
         return _empty(sys, label, c, ["no b > 0 makes the forced x positive"])
 
-    def draw_band2(rng):
-        b = _draw_from_interval(rng, *interval)
-        x = -b * k / (cf * b * b - a_p)
-        if x <= REGION_TOL:
-            return None
-        base = x * x_row / float(x_row @ x_row)
-        s = base + rng.uniform(-_BOX, _BOX) * zdir
-        return assemble_pp(b, s[0], s[1])
+    def band_x(b):
+        return -b * k / (cf * b * b - a_p)
 
-    return desc("interval-band", 1, True, draw_band2)
+    chart = _band_chart(assemble_pp, x_row, band_x, t_inv)
+    return desc("interval-band", 1, True, _interval_band_draw(chart, interval, band_x), (), chart)
 
 
 def solve(sys: ConstraintSystem) -> SolutionSetDescription:
@@ -1047,47 +1088,24 @@ class ConnectPath:
         }
 
 
-def _jacobian(sys: ConstraintSystem, x: np.ndarray) -> np.ndarray:
-    f0 = sys.equality_stack(x)
-    jac = np.zeros((f0.size, x.size))
-    for j in range(x.size):
-        h = 1e-7 * max(1.0, abs(x[j]))
-        xp = x.copy()
-        xp[j] += h
-        jac[:, j] = (sys.equality_stack(xp) - f0) / h
-    return jac
+def _vertex_failure(sys: ConstraintSystem, x: np.ndarray) -> str | None:
+    """None when x is a verified path vertex, else the failed check with its values.
 
-
-def _correct(sys: ConstraintSystem, x0: np.ndarray, tol=1e-11):
-    """Damped least-squares Newton projection onto the equality set."""
-    x = x0.copy()
-    if not sys.in_region(x):
-        return None
-    for _ in range(50):
-        f = sys.equality_stack(x)
-        if np.abs(f).max() <= tol:
-            return x
-        jac = _jacobian(sys, x)
-        step, *_ = np.linalg.lstsq(jac, -f, rcond=None)
-        lam = 1.0
-        improved = False
-        base = np.linalg.norm(f)
-        while lam >= 2 ** -12:
-            cand = x + lam * step
-            if sys.in_region(cand) and np.linalg.norm(sys.equality_stack(cand)) < base:
-                x = cand
-                improved = True
-                break
-            lam *= 0.5
-        if not improved:
-            return None
-    f = sys.equality_stack(x)
-    return x if np.abs(f).max() <= tol else None
-
-
-def _verify_vertex(sys: ConstraintSystem, x: np.ndarray) -> bool:
+    The antiholomorphy residual is held to PATH_TOL, the block quadric one
+    to PATH_TOL times max(1, |a_plus det B|, |b b'(B)|), the size of its
+    terms: on {det B = 1e10} rounding alone leaves about 1e-6.
+    """
     b, b_mat = sys.unpack(x)
-    return sys.in_region(x) and max(sys.residual_pair(b, b_mat)) <= PATH_TOL
+    det = _det2(b_mat)
+    if not (b > REGION_TOL and det > REGION_TOL):
+        return f"b = {b:.6g} and det B = {det:.6g} leave the region"
+    anti, quad = sys.residual_pair(b, b_mat)
+    if not anti <= PATH_TOL:
+        return f"antiholomorphy residual {anti:.6g} exceeds {PATH_TOL:g}"
+    size = 1.0 if sys.m == 1 else max(1.0, abs(sys.a_plus * det), abs(b * _bprime(sys.D, b_mat)))
+    if not quad <= PATH_TOL * size:
+        return f"block quadric residual {quad:.6g} exceeds {PATH_TOL:g} x {size:.6g}"
+    return None
 
 
 def _as_position(sys: ConstraintSystem, point) -> np.ndarray:
@@ -1099,52 +1117,17 @@ def _as_position(sys: ConstraintSystem, point) -> np.ndarray:
     raise ValueError("a path endpoint must be a witness or a packed position")
 
 
-def _chord_in_region(sys: ConstraintSystem, x0: np.ndarray, x1: np.ndarray) -> bool:
-    """Whether the whole straight chord stays in {b > 0, det B > 0}.
+def _chord_det_min(sys: ConstraintSystem, x0: np.ndarray, x1: np.ndarray) -> float:
+    """Closed-form minimum of det B, a quadratic, along the chord from x0 to x1.
 
-    b is linear along the chord and positive at both ends; det B is an
-    exact quadratic in the chord parameter, so its minimum is closed-form.
-    Rejecting chords that dip out keeps a polyline from jumping through a
-    pinch of the open region that separates genuine components.
+    b is linear, so it stays positive between positive ends; for m = 1 the
+    region is a convex quadrant and the minimum is returned as inf.
     """
     if sys.m == 1:
-        return True  # the region is a convex quadrant
+        return math.inf
     _, b0 = sys.unpack(x0)
     _, b1 = sys.unpack(x1)
-    return _quad_min01(*_det_along_line(b0, b1)) > 0.0
-
-
-def _walk_curve(sys: ConstraintSystem, curve):
-    """Adaptive predictor-corrector walk along a parametrized curve.
-
-    The predictor evaluates the curve at the next parameter, the corrector
-    projects onto the equality set; steps halve on rejection down to 1e-6.
-    Returns the vertex list or None together with the progress so far.
-    """
-    start = _correct(sys, np.asarray(curve(0.0), dtype=float))
-    if start is None or not _verify_vertex(sys, start):
-        return None, []
-    points = [start]
-    t, step = 0.0, 0.1
-    while t < 1.0:
-        t_next = min(1.0, t + step)
-        predictor = np.asarray(curve(t_next), dtype=float)
-        chord = np.linalg.norm(predictor - np.asarray(curve(t), dtype=float))
-        corrected = _correct(sys, predictor)
-        if (
-            corrected is not None
-            and np.linalg.norm(corrected - points[-1]) <= 4.0 * chord + 1e-6
-            and _verify_vertex(sys, corrected)
-            and _chord_in_region(sys, points[-1], corrected)
-        ):
-            points.append(corrected)
-            t = t_next
-            step = min(0.1, step * 1.6)
-            continue
-        step *= 0.5
-        if step < 1e-6:
-            return None, points
-    return points, points
+    return _quad_min01(*_det_along_line(b0, b1))
 
 
 class _LinearCurve:
@@ -1157,6 +1140,57 @@ class _LinearCurve:
 
     def __call__(self, t):
         return (1.0 - t) * self.x0 + t * self.x1
+
+    def reversed(self):
+        return _LinearCurve(self.x1, self.x0)
+
+
+class _ChartLeg:
+    """Leg t -> point((1 - t) p0 + t p1), the image of a chart segment.
+
+    point gives (b, B), or None where the chart is singular.  The ends are
+    x0 and x1 themselves, so the legs of a route meet exactly.
+    """
+
+    __slots__ = ("x0", "x1", "point", "p0", "p1")
+
+    def __init__(self, x0: np.ndarray, x1: np.ndarray, point, p0, p1):
+        self.x0, self.x1, self.point, self.p0, self.p1 = x0, x1, point, p0, p1
+
+    def __call__(self, t):
+        if t in (0.0, 1.0):
+            return self.x1 if t else self.x0
+        got = self.point((1.0 - t) * self.p0 + t * self.p1)
+        return None if got is None else np.concatenate(([got[0]], np.ravel(got[1])))
+
+    def reversed(self):
+        return _ChartLeg(self.x1, self.x0, self.point, self.p1, self.p0)
+
+
+_GRID = tuple(k / 8.0 for k in range(9))  # the fixed t-grid of a chart leg
+
+
+def _walk_curve(sys: ConstraintSystem, leg):
+    """Verified vertices of one leg, or the first check that fails; nothing is corrected.
+
+    A chord (_LinearCurve) is walked as x0, its midpoint and x1: the cleared
+    equations (equality_stack) have degree at most 2 along a line, so they
+    vanish on the chord when they vanish at these three points.  A chart
+    leg lies on the family by construction and is sampled on the fixed grid
+    _GRID.  Every vertex must pass _vertex_failure and every chord between
+    vertices keep det B > 0.  Returns (vertices, None), or (None, (t,
+    vertices so far, reason)).
+    """
+    points = []
+    for t in (0.0, 0.5, 1.0) if isinstance(leg, _LinearCurve) else _GRID:
+        x = leg(t)
+        why = "the chart is singular" if x is None else _vertex_failure(sys, x)
+        if why is None and points and not (low := _chord_det_min(sys, points[-1], x)) > 0.0:
+            why = f"the chord from the vertex before reaches det B = {low:.6g}"
+        if why is not None:
+            return None, (t, points, why)
+        points.append(x)
+    return points, None
 
 
 def _det_along_line(bp_mat: np.ndarray, bq_mat: np.ndarray):
@@ -1182,26 +1216,22 @@ def _quad_min01(c0, c1, c2) -> float:
 _SAFE = 1e-6
 
 
-def _graph_curve(sys: ConstraintSystem, xp, xq, b_end_p, b_end_q):
-    """Chart line in B for the graph family, with b from the equation.
+def _graph_leg(sys: ConstraintSystem, x0, x1) -> _ChartLeg:
+    """Chart leg of the graph family: B on the chord, b from the equation.
 
-    Where the linear form b' vanishes (only at an endpoint by linearity)
-    the prescribed landing value is used instead of the 0/0 ratio.
+    b = (a_plus det B - a_minus) / b'(B); where the linear form b' vanishes
+    (only at an end of the chord, by linearity) the leg's end is used.
     """
-    _, bp_mat = sys.unpack(xp)
-    _, bq_mat = sys.unpack(xq)
     row = _bprime_row(sys.D)
 
-    def curve(t):
-        b_mat = (1.0 - t) * bp_mat + t * bq_mat
-        bp_val = float(row @ b_mat.ravel())
+    def point(m):
+        bp_val = float(row @ m)
         if abs(bp_val) < 1e-9:
-            b = b_end_p if t < 0.5 else b_end_q
-        else:
-            b = (sys.a_plus * _det2(b_mat) - sys.a_minus) / bp_val
-        return sys.pack(b, b_mat)
+            return None
+        b_mat = m.reshape(2, 2)
+        return (sys.a_plus * _det2(b_mat) - sys.a_minus) / bp_val, b_mat
 
-    return curve
+    return _ChartLeg(x0, x1, point, x0[1:], x1[1:])
 
 
 def _graph_leg_ok(sys: ConstraintSystem, curve) -> bool:
@@ -1218,12 +1248,8 @@ def _graph_leg_ok(sys: ConstraintSystem, curve) -> bool:
         # c0 is det(m0) as the sampler computes it; c0 + c1 + c2 rounds apart from det(m1)
         det_min = min(_quad_min01(*_det_along_line(m0, m1)), _det2(m1))
         return min(b0, b1) > _SAFE and det_min > _SAFE
-    for t in np.linspace(0.0, 1.0, 33):
-        x = np.asarray(curve(t), dtype=float)
-        b, b_mat = sys.unpack(x)
-        if b <= _SAFE or _det2(b_mat) <= _SAFE:
-            return False
-    return True
+    return all(x is not None and x[0] > _SAFE and _det2(x[1:]) > _SAFE
+               for x in map(curve, np.linspace(0.0, 1.0, 33)))
 
 
 def _checked_leg(sys: ConstraintSystem, verdicts: dict, make_leg, x0, x1):
@@ -1239,27 +1265,25 @@ def _checked_leg(sys: ConstraintSystem, verdicts: dict, make_leg, x0, x1):
     return verdicts[key]
 
 
+def _onto_stratum(sys: ConstraintSystem, b_mat: np.ndarray):
+    """B scaled onto {a_plus det B = a_minus}, or None; B must lie in ker b'."""
+    det = _det2(b_mat)
+    if det <= 1e-9 or (sys.a_plus == 0) != (sys.a_minus == 0):
+        return None
+    if sys.a_plus == 0:
+        return b_mat
+    target = sys.a_minus / sys.a_plus
+    return b_mat * math.sqrt(target / det) if target > 0 else None
+
+
 def _stratum_candidates(sys: ConstraintSystem, count=12):
     """Points of {b' = 0, a_plus det B = a_minus, det B > 0} (B parts)."""
-    if np.abs(_bprime_row(sys.D)).max() == 0:
-        return []
+    if np.abs(_bprime_row(sys.D)).max() == 0 or _onto_stratum(sys, np.eye(2)) is None:
+        return []  # no b', or no positive det B solves the equation
     kern = _bprime_kernel(sys.D)
-    target = None
-    if sys.a_plus != 0:
-        target = sys.a_minus / sys.a_plus
-        if target <= 0:
-            return []
-    elif sys.a_minus != 0:
-        return []
-
-    def scaled(b_mat):
-        det = _det2(b_mat)
-        if det <= 1e-9:
-            return None
-        return b_mat if target is None else b_mat * math.sqrt(target / det)
-
     return _draws(
-        lambda rng: (kern @ rng.uniform(-1.0, 1.0, 3)).reshape(2, 2), 7, count, 300, scaled
+        lambda rng: (kern @ rng.uniform(-1.0, 1.0, 3)).reshape(2, 2), 7, count, 300,
+        lambda b_mat: _onto_stratum(sys, b_mat),
     )
 
 
@@ -1274,10 +1298,6 @@ def _landing_b(sys: ConstraintSystem, b_from: np.ndarray, b_star: np.ndarray):
     if abs(bp_start) < 1e-14:
         return None
     return -n_prime / bp_start
-
-
-def _rev_leg(leg):
-    return lambda t: leg(1.0 - t)
 
 
 def _family_mids(sys: ConstraintSystem, desc, sign=0.0, count=16):
@@ -1315,79 +1335,59 @@ def _bend_route(leg_for, xp, xq, mids):
 
 def _stratum_approach(sys: ConstraintSystem, leg_for, x, b_star, mids):
     """Legs from a graph-family point into the stratum point B*, or None."""
-    _, b_mat = sys.unpack(x)
-    land = _landing_b(sys, b_mat, b_star)
-    if land is not None and land > _SAFE:
-        x_land = sys.pack(land, b_star)
-        leg = leg_for(x, x_land)
-        if leg is not None:
-            return [leg], x_land
-    for x_mid in mids:
-        _, bm_mat = sys.unpack(x_mid)
-        land = _landing_b(sys, bm_mat, b_star)
+    for stops in ([x], *([x, x_mid] for x_mid in mids)):  # direct, then one bend
+        land = _landing_b(sys, sys.unpack(stops[-1])[1], b_star)
         if land is None or land <= _SAFE:
             continue
         x_land = sys.pack(land, b_star)
-        leg1 = leg_for(x, x_mid)
-        leg2 = leg_for(x_mid, x_land) if leg1 is not None else None
-        if leg2 is not None:
-            return [leg1, leg2], x_land
+        legs = []
+        for x0, x1 in zip(stops, stops[1:] + [x_land]):
+            if (leg := leg_for(x0, x1)) is None:
+                break
+            legs.append(leg)
+        else:
+            return legs, x_land
     return None
 
 
 def _route(sys: ConstraintSystem, desc: SolutionSetDescription, xp, xq, verdicts: dict):
-    """Case-aware list of predictor curves from xp to xq, or None.
+    """Case-aware list of legs from xp to xq, or None.
 
-    The straight chord by default.  The region, stratum and L.mpzero
-    families are affine in their chart coordinates, so their legs are
-    chords too, checked and bent once through a family sample if needed.
-    Legs that need a region check are decided through the verdicts table
-    (see _checked_leg).
+    One chart leg when the chart domain is convex (desc._chart).  Chords on
+    the region and the stratum, the radial image of a chord on the quadric,
+    each bent once through a family sample if needed; graph legs on the
+    hypersurface, through the stratum when b' changes sign; otherwise the
+    family is affine and the leg is the chord.  Legs that need a region
+    check are decided through the verdicts table (see _checked_leg).
     """
     kind = desc.kind
-    c = desc.constants
     if kind == "empty":
         return None
-    if sys.m == 1:
-        b2p, b2q = xp[1], xq[1]
-        if kind == "hyperbola":
-            kappa = c["kappa"]
-            return [lambda t: np.array([kappa / ((1 - t) * b2p + t * b2q), (1 - t) * b2p + t * b2q])]
-        if kind == "ray":
-            slope = c["slope"]
-            return [lambda t: np.array([slope * ((1 - t) * b2p + t * b2q), (1 - t) * b2p + t * b2q])]
-    label = desc.case_label
+    if desc._chart is not None:
+        point, params = desc._chart
+        return [_ChartLeg(xp, xq, point, params(xp), params(xq))]
 
     def checker(make_leg):
         return lambda x0, x1: _checked_leg(sys, verdicts, make_leg, x0, x1)
 
-    if kind in ("region", "stratum") or label == "L.mpzero":
+    if kind in ("region", "stratum"):
         return _bend_route(checker(_LinearCurve), xp, xq, _family_mids(sys, desc))
     if kind == "quadric":
-        a = c["a"]
+        a = desc.constants["a"]
 
-        def quad_leg(x0, x1):
-            b0, m0 = sys.unpack(x0)
-            b1, m1 = sys.unpack(x1)
+        def radial(x):
+            b_mat = x[1:].reshape(2, 2)
+            det = _det2(b_mat)
+            return None if det <= 1e-12 else (x[0], b_mat * math.sqrt(a / det))
 
-            def curve(t):
-                b_mat = (1.0 - t) * m0 + t * m1
-                det = _det2(b_mat)
-                if det <= 1e-12:
-                    return sys.pack(-1.0, b_mat)  # flagged out of region
-                return sys.pack((1.0 - t) * b0 + t * b1, b_mat * math.sqrt(a / det))
-
-            return curve
-
-        return _bend_route(checker(quad_leg), xp, xq, _family_mids(sys, desc))
+        quad_leg = checker(lambda x0, x1: _ChartLeg(x0, x1, radial, x0, x1))
+        return _bend_route(quad_leg, xp, xq, _family_mids(sys, desc))
     if kind == "hypersurface":
         row = _bprime_row(sys.D)
         sp = float(row @ sys.unpack(xp)[1].ravel())
         sq = float(row @ sys.unpack(xq)[1].ravel())
         tol = 1e-9 * sys.scale
-        graph_leg = checker(
-            lambda x0, x1: _graph_curve(sys, x0, x1, sys.unpack(x0)[0], sys.unpack(x1)[0])
-        )
+        graph_leg = checker(lambda x0, x1: _graph_leg(sys, x0, x1))
         if abs(sp) <= tol or abs(sq) <= tol or sp * sq > 0:
             side = sp if abs(sp) > tol else sq
             return _bend_route(graph_leg, xp, xq, _family_mids(sys, desc, sign=side))
@@ -1399,7 +1399,12 @@ def _route(sys: ConstraintSystem, desc: SolutionSetDescription, xp, xq, verdicts
         # with the description's mids
         if "stratum" not in desc._mids:
             desc._mids["stratum"] = _stratum_candidates(sys)
-        for b_star in desc._mids["stratum"]:
+        nearest = []  # the endpoints' own B, projected along b' onto the stratum
+        for x in (xp, xq):
+            m = x[1:] - float(row @ x[1:]) / float(row @ row) * row
+            if (b_star := _onto_stratum(sys, m.reshape(2, 2))) is not None:
+                nearest.append(b_star)
+        for b_star in nearest + desc._mids["stratum"]:
             got_in = _stratum_approach(sys, graph_leg, xp, b_star, mids_p)
             if got_in is None:
                 continue
@@ -1409,47 +1414,23 @@ def _route(sys: ConstraintSystem, desc: SolutionSetDescription, xp, xq, verdicts
             legs_in, x_in = got_in
             legs_out, x_out = got_out
             slide = [] if np.linalg.norm(x_in - x_out) <= 1e-12 else [_LinearCurve(x_in, x_out)]
-            return legs_in + slide + [_rev_leg(leg) for leg in reversed(legs_out)]
+            return legs_in + slide + [leg.reversed() for leg in reversed(legs_out)]
         return None
-    if label == "L.indep":
-        m1, m2 = c["M1"], c["M2"]
-        b_p, b_q = float(xp[0]), float(xq[0])
-
-        def curve(t):
-            b = (1.0 - t) * b_p + t * b_q
-            return sys.pack(b, m1 * b + m2 / b)
-
-        return [curve]
-    if label == "L.ppzero":
-        # chart B = T [l1/b, l2/b; w], with b and the row w linear along a leg
-        t_mat = c["transform"]
-        t_inv = _inv2(t_mat)
-        l1, l2 = c["l1"], c["l2"]
-
-        def chart_leg(x0, x1):
-            b0, m0 = sys.unpack(x0)
-            b1, m1 = sys.unpack(x1)
-            r0, r1 = (t_inv @ m0)[1], (t_inv @ m1)[1]
-
-            def curve(t):
-                b = (1.0 - t) * b0 + t * b1
-                bw = np.array([[l1 / b, l2 / b], (1.0 - t) * r0 + t * r1])
-                return sys.pack(b, t_mat @ bw)
-
-            return curve
-
-        return _bend_route(checker(chart_leg), xp, xq, _family_mids(sys, desc))
     return [_LinearCurve(xp, xq)]
 
 
 def _walk_route(sys: ConstraintSystem, legs):
+    """(vertices, None) of a route's legs joined end to end, or (None, (last, why)):
+    the last verified vertex (None before the first), and the failed leg, t and check."""
     path = []
-    for leg in legs:
-        seg, partial = _walk_curve(sys, leg)
+    for i, leg in enumerate(legs):
+        seg, failed = _walk_curve(sys, leg)
         if seg is None:
-            return None, partial
+            t, done, why = failed
+            last = done[-1] if done else (path[-1] if path else None)
+            return None, (last, f"leg {i} fails at t = {t:g}: {why}")
         path.extend(seg if not path else seg[1:])
-    return path, path
+    return path, None
 
 
 def _roadmap_path(n, linked):
@@ -1487,15 +1468,21 @@ def connect(p, q, sys: ConstraintSystem) -> ConnectPath:
     walks a breadth-first path and drops the hop that fails, at most 6 in all.
     The straight chord comes last unless the direct route was that chord.
     Every leg's region check runs at most once a call.
+
+    Every leg lies on the family by construction, a chart leg on a fixed
+    t-grid or a chord of an affine family at its ends and midpoint, and no
+    vertex is corrected (see _walk_curve).  A failed join names the last
+    route walked: its failed leg, the grid t and the check, with the
+    residual or the b and det B values.
     """
     xp = _as_position(sys, p)
     xq = _as_position(sys, q)
     for name, x in (("start", xp), ("end", xq)):
-        if not _verify_vertex(sys, x):
+        if (why := _vertex_failure(sys, x)) is not None:
             return ConnectPath(
                 success=False,
                 points=(),
-                message=f"{name} point is not a verified solution",
+                message=f"{name} point is not a verified solution: {why}",
                 last_point=tuple(x),
             )
     if np.linalg.norm(xp - xq) <= 1e-12:
@@ -1516,15 +1503,25 @@ def connect(p, q, sys: ConstraintSystem) -> ConnectPath:
             )
 
     verdicts = {}
+    last, why = tuple(xp), None
+
+    def walked(legs):
+        """The route's vertices, or None once its failure is recorded."""
+        nonlocal last, why
+        path, failed = _walk_route(sys, legs)
+        if path is None:
+            at, why = failed
+            last = last if at is None else tuple(at)
+        return path
+
     direct = _route(sys, desc, xp, xq, verdicts)
-    path, partial = _walk_route(sys, direct) if direct is not None else (None, [])
+    path = walked(direct) if direct is not None else None
     if path is not None:
         return ConnectPath(success=True, points=tuple(tuple(v) for v in path))
-    last = tuple(partial[-1]) if partial else tuple(xp)
 
     def verified(cand):
         x = sys.pack(*cand)
-        return x if _verify_vertex(sys, x) else None
+        return x if _vertex_failure(sys, x) is None else None
 
     nodes = [xp, xq] + _draws(desc.draw, 11, 20, 120, verified)
     routes = {(0, 1): None, (1, 0): None}  # legs from u to v; None when missing or dead
@@ -1533,7 +1530,7 @@ def connect(p, q, sys: ConstraintSystem) -> ConnectPath:
         if (u, v) not in routes:
             i, j = min(u, v), max(u, v)
             legs = routes[i, j] = _route(sys, desc, nodes[i], nodes[j], verdicts)
-            routes[j, i] = None if legs is None else [_rev_leg(g) for g in reversed(legs)]
+            routes[j, i] = None if legs is None else [g.reversed() for g in reversed(legs)]
         return routes[u, v]
 
     for _ in range(5 if direct is not None else 6):  # the direct route was the first path
@@ -1542,23 +1539,21 @@ def connect(p, q, sys: ConstraintSystem) -> ConnectPath:
             break
         full = []
         for u, v in hops:
-            path, partial = _walk_route(sys, route(u, v))
+            path = walked(route(u, v))
             if path is None:
                 routes[u, v] = routes[v, u] = None
-                last = tuple(partial[-1]) if partial else last
                 break
             full.extend(path if not full else path[1:])
         else:
             return ConnectPath(success=True, points=tuple(tuple(v) for v in full))
     if not (direct and len(direct) == 1 and isinstance(direct[0], _LinearCurve)):
-        path, partial = _walk_route(sys, [_LinearCurve(xp, xq)])
+        path = walked([_LinearCurve(xp, xq)])
         if path is not None:
             return ConnectPath(success=True, points=tuple(tuple(v) for v in path))
-        last = tuple(partial[-1]) if partial else last
     return ConnectPath(
         success=False,
         points=(),
-        message="corrector failed below the minimal step size",
+        message=f"no verified path joins the endpoints; the last route walked: {why}",
         last_point=last,
     )
 

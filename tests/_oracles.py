@@ -153,6 +153,11 @@ def kodaira_grid_solutions(l_pp, l_pm, l_mp, l_mm, step: float = 0.01, tol: floa
     return list(seen.values())
 
 
+def kodaira_equations(l_pp, l_pm, l_mp, l_mm, b1: float, b2: float) -> np.ndarray:
+    """Polynomial form of the m = 1 system at (b1, b2), independent evaluation."""
+    return np.array([l_pp * b2 + b1 * l_mm, l_pm - b1 * b2 * l_mp])
+
+
 def _newton_polish_m1(p, l_pp, l_pm, l_mp, l_mm, iters: int = 40):
     x = np.array(p, dtype=float)
     for _ in range(iters):
@@ -333,7 +338,7 @@ def eager_connect(p, q, sys) -> se.ConnectPath:
     """
     xp = se._as_position(sys, p)
     xq = se._as_position(sys, q)
-    if not (se._verify_vertex(sys, xp) and se._verify_vertex(sys, xq)):
+    if not (se._vertex_failure(sys, xp) is None and se._vertex_failure(sys, xq) is None):
         return se.ConnectPath(success=False, points=())
     if np.linalg.norm(xp - xq) <= 1e-12:
         return se.ConnectPath(success=True, points=(tuple(xp),))
@@ -359,7 +364,7 @@ def eager_connect(p, q, sys) -> se.ConnectPath:
         if len(nodes) >= 22:
             break
         cand = desc.draw(rng)
-        if cand is not None and se._verify_vertex(sys, sys.pack(*cand)):
+        if cand is not None and se._vertex_failure(sys, sys.pack(*cand)) is None:
             nodes.append(sys.pack(*cand))
     n = len(nodes)
     legs_for = {}
@@ -394,7 +399,7 @@ def eager_connect(p, q, sys) -> se.ConnectPath:
         for u, v in reversed(hops):
             legs = legs_for[(min(u, v), max(u, v))]
             if u > v:
-                legs = [se._rev_leg(leg) for leg in reversed(legs)]
+                legs = [leg.reversed() for leg in reversed(legs)]
             path, _ = se._walk_route(sys, legs)
             if path is None:
                 dead.add((min(u, v), max(u, v)))

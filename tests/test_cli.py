@@ -1,6 +1,8 @@
 """Driver behavior: exit codes, report content, reproducible output."""
 
 import json
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -148,6 +150,36 @@ def test_certify_quadric_with_small_a_plus(tmp_path, capsys):
                      "--samples", "4", "--format", "machine")
     assert rc == 0
     assert json.loads(out)["component_count"] == 1
+
+
+def test_certify_ppzero_quadrant_is_one_component(tmp_path, capsys):
+    # bug fixed: legs that interpolated the free row of B left the family,
+    # and the corrector failed 5 joins, so this certified 2 components and
+    # exited 1 (in about 10 s); the chart leg in (b, x) stays on it
+    doc = {"system": {"m": 2, "a_plus": 1, "a_minus": 1, "D": [[1, 0], [0, -1]],
+                      "l_pp": [0, 0], "l_pm": [1, -3], "l_mp": [-1, -1], "l_mm": [0, 0]}}
+    outs = []
+    for _ in range(2):
+        rc, out, _ = run(tmp_path, capsys, "certify", doc,
+                         "--samples", "6", "--seed", "245822", "--format", "machine")
+        assert rc == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+    report = json.loads(outs[0])
+    assert report["component_count"] == 1
+    assert report["certificate"]["failures"] == []
+
+
+@pytest.mark.parametrize("system", [
+    {"m": 1, "l_pp": [0], "l_pm": [2], "l_mp": [1], "l_mm": [0]},
+    QUADRIC_SYS["system"],
+    {"m": 2, "a_plus": 1, "a_minus": 18, "D": [[0, 2], [-2, 2]],
+     "l_pp": [2, 0], "l_pm": [0, 0], "l_mp": [0, 0], "l_mm": [4, 2]},
+], ids=["hyperbola", "quadric", "mpzero-quadrant"])
+def test_certify_machine_output_reproducible(tmp_path, capsys, system):
+    outs = [run(tmp_path, capsys, "certify", {"system": system},
+                "--samples", "6", "--seed", "7", "--format", "machine")[1] for _ in range(2)]
+    assert outs[0] == outs[1] and json.loads(outs[0])["component_count"] == 1
 
 
 def test_certify_empty(tmp_path, capsys):
@@ -407,6 +439,36 @@ def test_orbifold_zero_denominator_exit_2(tmp_path, capsys):
     rc, _, err = run(tmp_path, capsys, "reconstruct", doc)
     assert rc == 2
     assert "invalid orbifold block" in err
+
+
+def test_decompose_computes_the_residual_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    real = complex_structures.riemann_residual
+    monkeypatch.setattr(complex_structures, "riemann_residual",
+                        lambda *args: calls.append(args) or real(*args))
+    # the m = 2 form of tests/test_solver_explorer.py is not compatible with the standard J2
+    incompatible = {"m": 2, "d": 1, "components": [
+        [[0, 0, -1, -1], [0, 0, 0, -1], [1, 0, 0, 0], [1, 1, 0, 0]],
+        [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 2], [0, 0, -2, 0]]]}
+    for doc, rc_want in ((KOD, 0), (incompatible, 1)):
+        calls.clear()
+        rc, out, _ = run(tmp_path, capsys, "decompose", doc, "--format", "machine")
+        assert rc == rc_want and len(calls) == 1
+        report = json.loads(out)
+        assert report["compatibility_residual"] == real(*calls[0])
+        assert ("failed" in report) == (rc == 1)
+
+
+def test_check_real_refuses_lattice_coordinates_beyond_2_53(tmp_path, capsys):
+    # bug fixed: the coordinate 5e299 was cast to a garbage int64 with a
+    # RuntimeWarning on stderr, D4 reported ok and check-real exited 1
+    doc = json.loads((Path(__file__).parents[1] / "demos" / "kodaira.json").read_text())
+    doc["real_structure"]["L"][0][0] = "1e300"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, out, err = run(tmp_path, capsys, "check-real", doc)
+    assert rc == 2 and out == "" and not caught
+    assert err.startswith("input error:") and "2**53" in err and len(err.strip().splitlines()) == 1
 
 
 def test_decompose_huge_structure_exit_2(tmp_path, capsys):
