@@ -1,18 +1,18 @@
 """Exact linear algebra over the integers and the rationals.
 
-Small dense matrices only (dimensions here never exceed a few dozen), so
-plain fraction arithmetic with Gauss elimination is fast enough and avoids
-any floating point contamination in the integer/rational code paths.
-
+Small dense matrices only (dimensions here never exceed a few dozen).
 Matrices are lists of lists of Fraction or int; vectors are lists of
-Fraction or int.  Products of integer matrices and vectors stay integers,
-and the rank of an integer matrix is found by fraction-free elimination.
+Fraction or int.  Integers stay integers: products of integer matrices and
+vectors are ints, `clear` puts rational entries over one common
+denominator, and rank, det, solve, kernel and inverse share one
+fraction-free elimination on rows cleared to integers one at a time.  A
+Fraction is built only where a value is handed back, by one division.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm, prod
 
 
 def frac(x) -> Fraction:
@@ -32,19 +32,15 @@ def frac_matrix(rows):
     return [[frac(x) for x in row] for row in rows]
 
 
-def frac_vector(entries):
-    return [frac(x) for x in entries]
-
-
-def zeros(n: int, m: int):
-    return [[Fraction(0)] * m for _ in range(n)]
+def clear(entries):
+    """(q, ints): q the lcm of the denominators of a sequence of ints and
+    Fractions, ints the entries times q."""
+    q = lcm(*[x.denominator for x in entries])
+    return q, [x.numerator * (q // x.denominator) for x in entries]
 
 
 def identity(n: int):
-    out = zeros(n, n)
-    for i in range(n):
-        out[i][i] = Fraction(1)
-    return out
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 def transpose(mat):
@@ -79,96 +75,79 @@ def mat_eq(a, b) -> bool:
     return all(a[i][j] == b[i][j] for i in range(len(a)) for j in range(len(a[0])))
 
 
-def rref(mat):
-    """Reduced row echelon form. Returns (R, pivot_columns)."""
-    r = [row[:] for row in mat]
-    n = len(r)
-    m = len(r[0]) if n else 0
-    pivots = []
-    row = 0
-    for col in range(m):
-        pivot = None
-        for i in range(row, n):
-            if r[i][col] != 0:
-                pivot = i
-                break
+def _bareiss(rows, ncols):
+    """Fraction-free echelon form of integer rows, in place; the pivot columns.
+
+    Bareiss elimination (Math. Comp. 22, 1968).  Pivots are sought in the
+    first ncols columns, first nonzero row first, and every column of the
+    rows is eliminated below each pivot.  After each pivot every remaining
+    entry is a minor of the input, so the division by the previous pivot is
+    exact and the entries stay integers.  Columns without a pivot are
+    skipped; the minors are then taken over the pivot columns found so far,
+    and the division stays exact.  A row exchange negates the row moved
+    down, so the last pivot is the determinant of the pivot rows and
+    columns of the input.
+    """
+    n = len(rows)
+    pivots, prev = [], 1
+    for col in range(ncols):
+        rk = len(pivots)
+        if rk == n:
+            break
+        pivot = next((i for i in range(rk, n) if rows[i][col]), None)
         if pivot is None:
             continue
-        r[row], r[pivot] = r[pivot], r[row]
-        inv = Fraction(1) / r[row][col]
-        r[row] = [x * inv for x in r[row]]
-        for i in range(n):
-            if i != row and r[i][col] != 0:
-                factor = r[i][col]
-                r[i] = [a - factor * b for a, b in zip(r[i], r[row])]
+        if pivot != rk:
+            rows[rk], rows[pivot] = rows[pivot], [-x for x in rows[rk]]
+        top = rows[rk]
+        p = top[col]
+        for i in range(rk + 1, n):
+            row = rows[i]
+            a = row[col]
+            rows[i] = [(p * x - a * y) // prev for x, y in zip(row, top)]
+        prev = p
         pivots.append(col)
-        row += 1
-        if row == n:
-            break
-    return r, pivots
+    return pivots
+
+
+def _back(rows, pivots, rhs):
+    """(D, y): y[i] = D x[pivots[i]] for the echelon system rows x = rhs.
+
+    Free variables are zero and D is the last pivot (1 without pivots).  x
+    solves the pivot rows and columns of the input, whose determinant is
+    D, so D x is an integer vector by Cramer's rule and every division
+    here is exact.
+    """
+    k = len(pivots)
+    d = rows[k - 1][pivots[-1]] if k else 1
+    y = [0] * k
+    for i in reversed(range(k)):
+        row = rows[i]
+        s = d * rhs[i] - sum(row[pivots[j]] * y[j] for j in range(i + 1, k))
+        y[i] = s // row[pivots[i]]
+    return d, y
+
+
+def _cleared(mat):
+    """The rows of mat as ints, each times the lcm of its own denominators."""
+    return [clear(row)[1] for row in mat]
 
 
 def rank(mat) -> int:
-    """Exact rank; integer matrices take the fraction-free Bareiss route."""
+    """Exact rank, by fraction-free elimination."""
     if not mat or not mat[0]:
         return 0
-    if all(type(x) is int for row in mat for x in row):
-        return _bareiss_rank(mat)
-    _, pivots = rref(mat)
-    return len(pivots)
-
-
-def _bareiss_rank(mat) -> int:
-    """Rank of an integer matrix by Bareiss elimination (Math. Comp. 1968).
-
-    After each pivot every remaining entry is a minor of the input, so the
-    division by the previous pivot is exact and the entries stay integers.
-    Columns without a pivot are skipped; the minors are then taken over the
-    pivot columns found so far, and the division stays exact.
-    """
-    r = [list(row) for row in mat]
-    n = len(r)
-    rk, prev = 0, 1
-    for col in range(len(r[0])):
-        pivot = next((i for i in range(rk, n) if r[i][col]), None)
-        if pivot is None:
-            continue
-        r[rk], r[pivot] = r[pivot], r[rk]
-        top = r[rk]
-        p = top[col]
-        for i in range(rk + 1, n):
-            row = r[i]
-            a = row[col]
-            r[i] = [(p * x - a * y) // prev for x, y in zip(row, top)]
-        prev = p
-        rk += 1
-        if rk == n:
-            break
-    return rk
+    return len(_bareiss(_cleared(mat), len(mat[0])))
 
 
 def det(mat) -> Fraction:
+    """Exact determinant of a square matrix, by fraction-free elimination."""
     n = len(mat)
-    r = [row[:] for row in mat]
-    out = Fraction(1)
-    for col in range(n):
-        pivot = None
-        for i in range(col, n):
-            if r[i][col] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            r[col], r[pivot] = r[pivot], r[col]
-            out = -out
-        out *= r[col][col]
-        inv = Fraction(1) / r[col][col]
-        for i in range(col + 1, n):
-            if r[i][col] != 0:
-                factor = r[i][col] * inv
-                r[i] = [a - factor * b for a, b in zip(r[i], r[col])]
-    return out
+    cleared = [clear(row) for row in mat]
+    rows = [ints for _, ints in cleared]
+    if len(_bareiss(rows, n)) < n:
+        return Fraction(0)
+    return Fraction(rows[-1][-1] if n else 1, prod(q for q, _ in cleared))
 
 
 def solve(mat, rhs):
@@ -176,60 +155,51 @@ def solve(mat, rhs):
 
     Free variables are set to zero.
     """
-    n = len(mat)
-    m = len(mat[0]) if n else 0
-    aug = [mat[i][:] + [frac(rhs[i])] for i in range(n)]
-    r, pivots = rref(aug)
-    # pivot in the rhs column means inconsistency
-    if m in pivots:
+    m = len(mat[0]) if mat else 0
+    rows = _cleared([*row, b if type(b) is int else frac(b)] for row, b in zip(mat, rhs))
+    pivots = _bareiss(rows, m)
+    if any(row[m] for row in rows[len(pivots):]):
         return None
+    d, y = _back(rows, pivots, [row[m] for row in rows])
     x = [Fraction(0)] * m
-    prow = 0
-    for col in pivots:
-        x[col] = r[prow][m]
-        prow += 1
+    for col, v in zip(pivots, y):
+        x[col] = Fraction(v, d)
     return x
+
+
+def _null(mat):
+    """(D, vectors): D times the echelon basis of the null space, as ints.
+
+    One vector per free column, which carries D; D is nonzero.
+    """
+    m = len(mat[0]) if mat else 0
+    rows = _cleared(mat)
+    pivots = _bareiss(rows, m)
+    d, basis = 1, []
+    for free in (c for c in range(m) if c not in pivots):
+        d, y = _back(rows, pivots, [-row[free] for row in rows])
+        v = [0] * m
+        v[free] = d
+        for col, val in zip(pivots, y):
+            v[col] = val
+        basis.append(v)
+    return d, basis
 
 
 def kernel(mat):
     """Basis of the rational null space, one vector per free column."""
-    n = len(mat)
-    m = len(mat[0]) if n else 0
-    if m == 0:
-        return []
-    if n == 0:
-        return [[Fraction(1 if i == j else 0) for i in range(m)] for j in range(m)]
-    r, pivots = rref(mat)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(m):
-        if free in pivot_set:
-            continue
-        v = [Fraction(0)] * m
-        v[free] = Fraction(1)
-        for prow, pcol in enumerate(pivots):
-            v[pcol] = -r[prow][free]
-        basis.append(v)
-    return basis
+    d, basis = _null(mat)
+    return [[Fraction(x, d) for x in v] for v in basis]
 
 
 def _primitive_integer(v):
     """Scale a rational vector to a primitive integer vector, first nonzero > 0."""
-    denoms = [x.denominator for x in v]
-    mult = 1
-    for d in denoms:
-        mult = mult * d // gcd(mult, d)
-    ints = [int(x * mult) for x in v]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
+    _, ints = clear(v)
+    g = gcd(*ints)
     if g > 1:
         ints = [x // g for x in ints]
-    for x in ints:
-        if x != 0:
-            if x < 0:
-                ints = [-y for y in ints]
-            break
+    if next((x for x in ints if x), 0) < 0:
+        ints = [-x for x in ints]
     return ints
 
 
@@ -240,16 +210,17 @@ def integer_kernel(mat):
     spans ker(mat) over Q but may span only a sublattice of ker(mat) meet
     Z^n (index 2 or 3 for some conjugates of diag(1, 1, -1, -1) on Z^4).
     """
-    return sorted(_primitive_integer(v) for v in kernel(mat))
+    return sorted(_primitive_integer(v) for v in _null(mat)[1])
 
 
 def inverse(mat):
     n = len(mat)
-    aug = [mat[i][:] + identity(n)[i] for i in range(n)]
-    r, pivots = rref(aug)
+    rows = _cleared([*row, *(int(i == j) for j in range(n))] for i, row in enumerate(mat))
+    pivots = _bareiss(rows, n)
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    return [row[n:] for row in r]
+    cols = [_back(rows, pivots, [row[n + j] for row in rows]) for j in range(n)]
+    return [[Fraction(y[i], d) for d, y in cols] for i in range(n)]
 
 
 def is_integer_vector(v) -> bool:

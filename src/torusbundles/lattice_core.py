@@ -22,14 +22,14 @@ conjugates the coordinate action of the lattice into the normalized action
 
 via the change of coordinates Psi(y, x) = (2 (y + S(x, x)), x).
 
-Everything in this module is exact rational arithmetic.
+Everything in this module is exact: integer data stays in Python ints, and
+rational data is exact Fraction arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from . import _rational as ratl
 
@@ -150,9 +150,12 @@ def form_values(datum: BundleDatum, x, y):
 
 
 def _bilinear_values(mats, x, y):
-    """The exact values x^T M y for each square matrix M in mats."""
-    xf = ratl.frac_vector(x)
-    yf = ratl.frac_vector(y)
+    """The exact values x^T M y for each square matrix M in mats.
+
+    int entries stay ints, so integer data gives integer values.
+    """
+    xf = [v if type(v) is int else ratl.frac(v) for v in x]
+    yf = [v if type(v) is int else ratl.frac(v) for v in y]
     return tuple(ratl.vec_mat_vec(xf, mat, yf) for mat in mats)
 
 
@@ -269,8 +272,8 @@ def pfaffian(mat):
         f[i][j] != -f[j][i] for i in range(n) for j in range(i, n)
     ):
         raise ValueError("pfaffian needs an antisymmetric matrix")
-    den = lcm(*(x.denominator for row in f for x in row))
-    return Fraction(_int_pfaffian([[int(x * den) for x in row] for row in f]), den ** (n // 2))
+    den, ints = ratl.clear([x for row in f for x in row])
+    return Fraction(_int_pfaffian([ints[i * n:(i + 1) * n] for i in range(n)]), den ** (n // 2))
 
 
 def _int_pfaffian(mat) -> int:
@@ -324,7 +327,7 @@ def pfaffian_binary_form(datum: BundleDatum):
         for t in range(m + 1)
     ]
     # Vandermonde solve: sum_j c_j t^j = samples[t]
-    vand = [[Fraction(t) ** j for j in range(m + 1)] for t in range(m + 1)]
+    vand = [[t**j for j in range(m + 1)] for t in range(m + 1)]
     coeffs = ratl.solve(vand, samples)
     return tuple(coeffs)
 

@@ -71,7 +71,9 @@ class RealStructureData:
 
     A1 and A2 are integer matrices squaring to the identity, of sizes
     2d x 2d and 2m x 2m.  L is a rational 2d x 2m matrix, d1 and d2 are
-    rational translation vectors of the fiber and base parts.
+    rational translation vectors of the fiber and base parts.  q is the
+    common denominator of L, d1 and d2, and qL, qd1, qd2 are q L, q d1 and
+    q d2 as ints, computed once for the exact checks.
     """
 
     A1: tuple
@@ -79,6 +81,10 @@ class RealStructureData:
     L: tuple
     d1: tuple
     d2: tuple
+    q: int = field(init=False, repr=False, compare=False)
+    qL: tuple = field(init=False, repr=False, compare=False)
+    qd1: tuple = field(init=False, repr=False, compare=False)
+    qd2: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n1 = len(self.A1)
@@ -101,6 +107,12 @@ class RealStructureData:
         object.__setattr__(self, "L", l)
         object.__setattr__(self, "d1", d1)
         object.__setattr__(self, "d2", d2)
+        q, ints = ratl.clear([*(x for row in l for x in row), *d1, *d2])
+        k = n1 * n2
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "qL", tuple(tuple(ints[i * n2:(i + 1) * n2]) for i in range(n1)))
+        object.__setattr__(self, "qd1", tuple(ints[k:k + n1]))
+        object.__setattr__(self, "qd2", tuple(ints[k + n1:]))
 
     def a1_array(self) -> np.ndarray:
         return np.array(self.A1, dtype=float)
@@ -125,8 +137,8 @@ def normalize_translation(rs: RealStructureData) -> RealStructureData:
     the rationals is exactly the -1 eigenspace of A1; the projection is
     therefore a canonical representative of the translation orbit.
     """
-    moved = ratl.mat_vec(rs.A1, rs.d1)
-    d1n = tuple((a + b) / 2 for a, b in zip(rs.d1, moved))
+    moved = ratl.mat_vec(rs.A1, rs.qd1)
+    d1n = tuple(Fraction(a + b, 2 * rs.q) for a, b in zip(rs.qd1, moved))
     return RealStructureData(A1=rs.A1, A2=rs.A2, L=rs.L, d1=d1n, d2=rs.d2)
 
 
@@ -136,11 +148,13 @@ def normalize_translation(rs: RealStructureData) -> RealStructureData:
 
 def _square_translation(rs: RealStructureData):
     """(fiber, base) translation of the squared map, exactly:
-    (L d2 + A1 d1 + d1, A2 d2 + d2)."""
+    (L d2 + A1 d1 + d1, A2 d2 + d2), in ints over q^2 and q."""
+    q, qd1, qd2 = rs.q, rs.qd1, rs.qd2
     fiber = tuple(
-        a + b + c for a, b, c in zip(ratl.mat_vec(rs.L, rs.d2), ratl.mat_vec(rs.A1, rs.d1), rs.d1)
+        Fraction(a + q * (b + c), q * q)
+        for a, b, c in zip(ratl.mat_vec(rs.qL, qd2), ratl.mat_vec(rs.A1, qd1), qd1)
     )
-    base = tuple(a + b for a, b in zip(ratl.mat_vec(rs.A2, rs.d2), rs.d2))
+    base = tuple(Fraction(a + b, q) for a, b in zip(ratl.mat_vec(rs.A2, qd2), qd2))
     return fiber, base
 
 
@@ -157,7 +171,10 @@ def check_integral_conditions(datum: BundleDatum, rs: RealStructureData) -> dict
 
     The I7 witness is found by solving the stacked exact linear system; for
     nondegenerate data the rational solution is unique, so failure can be
-    reported as either inconsistency or non-integrality.
+    reported as either inconsistency or non-integrality.  The stacked
+    matrix is the one whose rank decides nondegeneracy, so uniqueness is
+    read off that verdict.  I4, I6 and I7 work on the scaled data q L,
+    q d1, q d2 in ints.
 
     I1 to I3 are integer matrix identities: I3 on the basis pairs reads
     A2^T A_k A2 = sum_l (A1)_kl A_l for every component k.
@@ -165,7 +182,7 @@ def check_integral_conditions(datum: BundleDatum, rs: RealStructureData) -> dict
     from .lattice_core import is_nondegenerate
 
     m, d = datum.m, datum.d
-    a1, a2, l, d2 = rs.A1, rs.A2, rs.L, rs.d2
+    a1, a2, q, ql, qd2 = rs.A1, rs.A2, rs.q, rs.qL, rs.qd2
     comps = datum.components
     report: dict = {"nondegenerate": is_nondegenerate(datum)}
 
@@ -198,19 +215,16 @@ def check_integral_conditions(datum: BundleDatum, rs: RealStructureData) -> dict
         "failing_pair": bad3,
     }
 
-    # I4: L'(e_j) integral for every base basis vector
-    ok4 = True
-    bad4 = None
-    for j in range(n):
-        val = [
-            l[k][j] - sum(x * row[j] for x, row in zip(d2, comp_a2[k])) for k in range(2 * d)
-        ]
-        if not ratl.is_integer_vector(val):
-            ok4 = False
-            bad4 = j
-            break
+    # I4: L'(e_j) integral for every base basis vector, that is q L'(e_j)
+    # divisible by q
+    bad4 = next(
+        (j for j in range(n)
+         if any((ql[k][j] - sum(x * row[j] for x, row in zip(qd2, comp_a2[k]))) % q
+                for k in range(2 * d))),
+        None,
+    )
     report["I4"] = {
-        "ok": ok4,
+        "ok": bad4 is None,
         "detail": "translated coupling maps the base lattice into the fiber lattice",
         "failing_generator": bad4,
     }
@@ -227,15 +241,11 @@ def check_integral_conditions(datum: BundleDatum, rs: RealStructureData) -> dict
         "value": [str(x) for x in v6],
     }
 
-    # I7: stacked exact solve for the witness
-    mmat = ratl.mat_add(ratl.mat_mul(l, a2), ratl.mat_mul(a1, l))
-    stacked = []
-    rhs = []
-    for k in range(2 * d):
-        for row_i in range(n):
-            stacked.append(list(comps[k][row_i]))
-            rhs.append(-mmat[k][row_i])
-    gamma = ratl.solve(stacked, rhs)
+    # I7: stacked exact solve for the witness; row (k, i) reads
+    # A_k(e_i, gamma) = -(L A2 + A1 L)[k][i], its right side over q
+    qmat = ratl.mat_add(ratl.mat_mul(ql, a2), ratl.mat_mul(a1, ql))
+    stacked = [row for c in comps for row in c]
+    gamma = ratl.solve(stacked, [Fraction(-x, q) for row in qmat for x in row])
     if gamma is None:
         report["I7"] = {
             "ok": False,
@@ -243,13 +253,11 @@ def check_integral_conditions(datum: BundleDatum, rs: RealStructureData) -> dict
             "witness": None,
         }
     else:
-        integral = ratl.is_integer_vector(gamma)
-        unique = ratl.rank(stacked) == n
         report["I7"] = {
-            "ok": integral,
+            "ok": ratl.is_integer_vector(gamma),
             "detail": "lattice witness for the coupling equation",
             "witness": [str(x) for x in gamma],
-            "unique": unique,
+            "unique": report["nondegenerate"],
         }
     report["all_ok"] = all(report[f"I{k}"]["ok"] for k in range(1, 8))
     return report
@@ -524,14 +532,17 @@ def eigensplit(datum: BundleDatum, rs: RealStructureData) -> EigenSplit:
     if p + q != 2 * m or len(up) + len(um) != 2 * d:
         raise ValueError("eigenspaces do not span; involution data inconsistent")
 
-    w_inv = ratl.inverse(ratl.transpose(up + um))  # columns U+ then U-, inverted
+    # columns U+ then U-, inverted and put over one denominator qw
+    qw, flat = ratl.clear([x for row in ratl.inverse(ratl.transpose(up + um)) for x in row])
+    w = [flat[i * 2 * d:(i + 1) * 2 * d] for i in range(2 * d)]
     v_all = vp + vm
 
     # exact U+ then U- coordinates of the form on eigenbasis pairs and of L,
-    # copied to C order so that the float blocks keep their memory layout
+    # in ints times qw, copied to C order so that the float blocks keep their
+    # memory layout; each coordinate is divided once, into a float
     u = len(up)
     vals = np.array(
-        [[ratl.mat_vec(w_inv, form_values(datum, x, y)) for y in v_all] for x in v_all],
+        [[ratl.mat_vec(w, form_values(datum, x, y)) for y in v_all] for x in v_all],
         dtype=object,
     ).transpose(2, 0, 1).copy()
     for block, name in (
@@ -541,12 +552,13 @@ def eigensplit(datum: BundleDatum, rs: RealStructureData) -> EigenSplit:
     ):
         if np.any(block != 0):
             raise ValueError(f"eigenspace block structure violated: {name} is nonzero")
+    vals = vals / qw
     a_plus = vals[:u, :p, :p].astype(float)
     a_minus = vals[:u, p:, p:].astype(float)
     d_block = vals[u:, p:, :p].astype(float)
     lvals = np.array(
-        [ratl.mat_vec(w_inv, ratl.mat_vec(rs.L, v)) for v in v_all], dtype=object
-    ).T.copy()
+        [ratl.mat_vec(w, ratl.mat_vec(rs.qL, v)) for v in v_all], dtype=object
+    ).T.copy() / (qw * rs.q)
     l_pp, l_pm = lvals[:u, :p].astype(float), lvals[:u, p:].astype(float)
     l_mp, l_mm = lvals[u:, :p].astype(float), lvals[u:, p:].astype(float)
 
@@ -842,26 +854,26 @@ def orbifold_data(
         t_j = -A1 A(A2 d2, A2 e_j) + L e_j + A1 l_j
 
     (exact rational arithmetic; A2 is its own inverse), and the squared map
-    translates by (L d2 + A1 d1 + d1, A2 d2 + d2).
+    translates by (L d2 + A1 d1 + d1, A2 d2 + d2).  The form values are
+    taken on q A2 d2 in ints and divided by q once.
     """
     m, d = datum.m, datum.d
-    a1, a2, lmat, d2 = rs.A1, rs.A2, rs.L, rs.d2
+    a1, a2 = rs.A1, rs.A2
     n = 2 * m
     if lifts is None:
         lifts = tuple(tuple(Fraction(0) for _ in range(2 * d)) for _ in range(n))
     lifts = tuple(tuple(ratl.frac(x) for x in t) for t in lifts)
-    a2d2 = ratl.mat_vec(a2, d2)
+    qa2d2 = ratl.mat_vec(a2, rs.qd2)
     gens = []
     for j in range(n):
-        aval = form_values(datum, a2d2, [row[j] for row in a2])
-        term = ratl.mat_vec(a1, aval)
+        term = ratl.mat_vec(a1, form_values(datum, qa2d2, [row[j] for row in a2]))
         al = ratl.mat_vec(a1, lifts[j])
-        gens.append(tuple(-t + row[j] + a for t, row, a in zip(term, lmat, al)))
+        gens.append(tuple(Fraction(row[j] - t, rs.q) + a for t, row, a in zip(term, rs.qL, al)))
     sq_y, sq_x = _square_translation(rs)
     return OrbifoldConjugationData(
         A1=rs.A1,
         A2=rs.A2,
-        d2=d2,
+        d2=rs.d2,
         generator_translations=tuple(gens),
         square_translation_y=sq_y,
         square_translation_x=sq_x,
@@ -877,7 +889,8 @@ def reconstruct_from_orbifold(
     Inverts the generator translation formula column by column to recover
     L, then reads the normalized d1 = (I + A1) d1 / 2 off the square
     translation via 2 d1_normalized = square_y - L d2.  Exact arithmetic
-    throughout; inconsistent data raises with the violated identity named.
+    throughout, the form values on q A2 d2 in ints with q the denominator
+    of d2; inconsistent data raises with the violated identity named.
     """
     m, d = datum.m, datum.d
     n = 2 * m
@@ -886,19 +899,18 @@ def reconstruct_from_orbifold(
     if not _is_involution(data.A2):
         raise ValueError("inconsistent data: A2 squared is not the identity")
     a1, a2, d2 = data.A1, data.A2, data.d2
-    sqx = [a + b for a, b in zip(ratl.mat_vec(a2, d2), d2)]
-    if list(data.square_translation_x) != sqx:
+    q, qd2 = ratl.clear(d2)
+    qa2d2 = ratl.mat_vec(a2, qd2)
+    if list(data.square_translation_x) != [Fraction(a + b, q) for a, b in zip(qa2d2, qd2)]:
         raise ValueError(
             "inconsistent data: base part of the square translation is not A2 d2 + d2"
         )
-    a2d2 = ratl.mat_vec(a2, d2)
     l_cols = []
     for j in range(n):
-        aval = form_values(datum, a2d2, [row[j] for row in a2])
-        term = ratl.mat_vec(a1, aval)
+        term = ratl.mat_vec(a1, form_values(datum, qa2d2, [row[j] for row in a2]))
         al = ratl.mat_vec(a1, data.lifts[j])
         t_j = data.generator_translations[j]
-        l_cols.append([t + tm - a for t, tm, a in zip(t_j, term, al)])
+        l_cols.append([t + Fraction(tm, q) - a for t, tm, a in zip(t_j, term, al)])
     lmat = ratl.transpose(l_cols)
     ld2 = ratl.mat_vec(lmat, d2)
     d1n = tuple((s - v) / 2 for s, v in zip(data.square_translation_y, ld2))

@@ -2,6 +2,7 @@
 
 Everything here is deliberately primitive: brute force grids, dense sweeps
 and direct formula evaluation, kept free of the library's own solver logic
+(Gauss-Jordan over Fractions stands in for the fraction-free elimination)
 so the two sides of each comparison stay independent.  The one exception is
 eager_connect, which keeps the library's routes and walks and replaces only
 the order in which connect searches them.
@@ -58,6 +59,163 @@ def pfaffian_expansion(mat) -> Fraction:
             total += sign * mat[0][j] * pfaffian_expansion(minor)
         sign = -sign
     return total
+
+
+# ---------------------------------------------------------------------------
+# Gauss-Jordan elimination over Fractions, entry by entry
+
+
+def rref(mat):
+    """Reduced row echelon form over Fractions. Returns (R, pivot_columns)."""
+    r = [[Fraction(x) for x in row] for row in mat]
+    n = len(r)
+    m = len(r[0]) if n else 0
+    pivots = []
+    row = 0
+    for col in range(m):
+        pivot = next((i for i in range(row, n) if r[i][col] != 0), None)
+        if pivot is None:
+            continue
+        r[row], r[pivot] = r[pivot], r[row]
+        inv = 1 / r[row][col]
+        r[row] = [x * inv for x in r[row]]
+        for i in range(n):
+            if i != row and r[i][col] != 0:
+                factor = r[i][col]
+                r[i] = [a - factor * b for a, b in zip(r[i], r[row])]
+        pivots.append(col)
+        row += 1
+        if row == n:
+            break
+    return r, pivots
+
+
+def rref_rank(mat) -> int:
+    return len(rref(mat)[1]) if mat and mat[0] else 0
+
+
+def rref_solve(mat, rhs):
+    """The solution of mat x = rhs with free variables 0, or None."""
+    m = len(mat[0]) if mat else 0
+    r, pivots = rref([list(row) + [b] for row, b in zip(mat, rhs)])
+    if m in pivots:
+        return None
+    x = [Fraction(0)] * m
+    for prow, col in enumerate(pivots):
+        x[col] = r[prow][m]
+    return x
+
+
+def rref_kernel(mat):
+    """Null space basis, one vector per free column, which carries a 1."""
+    m = len(mat[0]) if mat else 0
+    r, pivots = rref(mat)
+    basis = []
+    for free in (c for c in range(m) if c not in pivots):
+        v = [Fraction(0)] * m
+        v[free] = Fraction(1)
+        for prow, pcol in enumerate(pivots):
+            v[pcol] = -r[prow][free]
+        basis.append(v)
+    return basis
+
+
+def rref_inverse(mat):
+    """The inverse, or None for a singular matrix."""
+    n = len(mat)
+    r, pivots = rref([list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(mat)])
+    return [row[n:] for row in r] if pivots == list(range(n)) else None
+
+
+def fraction_det(mat) -> Fraction:
+    """Determinant by Gauss elimination over Fractions."""
+    n = len(mat)
+    r = [[Fraction(x) for x in row] for row in mat]
+    out = Fraction(1)
+    for col in range(n):
+        pivot = next((i for i in range(col, n) if r[i][col] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            r[col], r[pivot] = r[pivot], r[col]
+            out = -out
+        out *= r[col][col]
+        for i in range(col + 1, n):
+            factor = r[i][col] / r[col][col]
+            r[i] = [a - factor * b for a, b in zip(r[i], r[col])]
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the integral conditions and orbifold translations, entry by entry
+
+
+def random_involution(rng: random.Random, n: int, moves: int = 6):
+    """U^-1 diag(+-1) U for a unimodular U of random row moves, as int tuples."""
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(moves):
+        i, j = rng.sample(range(n), 2)
+        c = rng.randint(-2, 2)
+        u[i] = [a + c * b for a, b in zip(u[i], u[j])]
+    ui = rref_inverse(u)
+    signs = [rng.choice((1, -1)) for _ in range(n)]
+    return tuple(
+        tuple(int(sum(ui[i][k] * signs[k] * u[k][j] for k in range(n))) for j in range(n))
+        for i in range(n)
+    )
+
+
+def _form(comps, x, y):
+    """The vector of x^T A_k y over Fractions."""
+    return [
+        sum(Fraction(x[r]) * a[r][s] * Fraction(y[s]) for r in range(len(x)) for s in range(len(y)))
+        for a in comps
+    ]
+
+
+def _apply(mat, v):
+    return [sum(Fraction(a) * Fraction(b) for a, b in zip(row, v)) for row in mat]
+
+
+def fraction_square_translation(rs):
+    """(L d2 + A1 d1 + d1, A2 d2 + d2)."""
+    fiber = [a + b + c for a, b, c in zip(_apply(rs.L, rs.d2), _apply(rs.A1, rs.d1), rs.d1)]
+    base = [a + b for a, b in zip(_apply(rs.A2, rs.d2), rs.d2)]
+    return fiber, base
+
+
+def fraction_i4_failing_generator(datum, rs):
+    """The first j with L e_j - A(d2, A2 e_j) not integral, or None."""
+    for j in range(2 * datum.m):
+        a2_col = [row[j] for row in rs.A2]
+        vals = _form(datum.components, rs.d2, a2_col)
+        if any((Fraction(row[j]) - v).denominator != 1 for row, v in zip(rs.L, vals)):
+            return j
+    return None
+
+
+def fraction_i7_witness(datum, rs):
+    """The rref solution gamma of A(e_i, gamma) = -(L A2 + A1 L) e_i, or None."""
+    n = 2 * datum.m
+    rows, rhs = [], []
+    for k, comp in enumerate(datum.components):
+        for i in range(n):
+            l_a2 = sum(Fraction(rs.L[k][s]) * rs.A2[s][i] for s in range(n))
+            a1_l = sum(rs.A1[k][t] * Fraction(rs.L[t][i]) for t in range(len(rs.A1)))
+            rows.append(list(comp[i]))
+            rhs.append(-(l_a2 + a1_l))
+    return rref_solve(rows, rhs)
+
+
+def fraction_generator_translations(datum, rs, lifts):
+    """t_j = -A1 A(A2 d2, A2 e_j) + L e_j + A1 l_j for every base generator."""
+    a2d2 = _apply(rs.A2, rs.d2)
+    out = []
+    for j in range(2 * datum.m):
+        term = _apply(rs.A1, _form(datum.components, a2d2, [row[j] for row in rs.A2]))
+        al = _apply(rs.A1, lifts[j])
+        out.append([-t + Fraction(row[j]) + a for t, row, a in zip(term, rs.L, al)])
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,43 @@
 """The integer core of the exact layer against independent references.
 
 The pfaffian is checked against its row expansion and against the
-determinant, and the integer rank against elimination over Fractions.
+determinant; rank, det, solve, kernel and inverse, all one fraction-free
+elimination, against Gauss-Jordan over Fractions; the integral conditions
+and the orbifold translations on the scaled integer data against direct
+Fraction evaluation.
 """
 
 import random
 import time
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
 from torusbundles import _rational as ratl
-from torusbundles.lattice_core import BundleDatum, pfaffian, pfaffian_reality
+from torusbundles.lattice_core import BundleDatum, pfaffian, pfaffian_binary_form, pfaffian_reality
+from torusbundles.real_structures import (
+    RealStructureData,
+    _square_translation,
+    check_integral_conditions,
+    orbifold_data,
+)
 
-from _oracles import pfaffian_expansion, random_antisymmetric
+from _oracles import (
+    fraction_det,
+    fraction_generator_translations,
+    fraction_i4_failing_generator,
+    fraction_i7_witness,
+    fraction_square_translation,
+    pfaffian_expansion,
+    random_antisymmetric,
+    random_involution,
+    random_rational,
+    rref_inverse,
+    rref_kernel,
+    rref_rank,
+    rref_solve,
+)
 
 
 def _congruent(p, core):
@@ -95,8 +120,8 @@ def test_integer_rank_matches_fraction_rank():
             if rng.random() < 0.25:
                 for row in mat:
                     row[j] = 0
-        assert ratl._bareiss_rank(mat) == ratl.rank(ratl.frac_matrix(mat))
-        assert ratl.rank(mat) == ratl._bareiss_rank(mat)
+        assert ratl.rank(mat) == rref_rank(mat)
+        assert ratl.rank(ratl.frac_matrix(mat)) == rref_rank(mat)
 
 
 def test_pfaffian_reality_m7_within_budget():
@@ -109,3 +134,207 @@ def test_pfaffian_reality_m7_within_budget():
     assert time.perf_counter() - t0 < 2.0
     # a real binary form of odd degree always has a real root
     assert verdict is True
+
+
+def _random_matrix(rng, rows, cols):
+    """ints, integral Fractions or rational Fractions, sometimes a low rank
+    product, with some rows and columns zeroed."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        k = rng.randint(1, min(rows, cols))
+        left = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(rows)]
+        right = [[random_rational(rng, 5, 4) for _ in range(cols)] for _ in range(k)]
+        mat = ratl.mat_mul(left, right)
+    elif kind == 1:
+        mat = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)]
+    else:
+        den = 1 if kind == 2 else 6
+        mat = [[random_rational(rng, 9, den) for _ in range(cols)] for _ in range(rows)]
+    for i in range(rows):
+        if rng.random() < 0.15:
+            mat[i] = [0] * cols
+    for j in range(cols):
+        if rng.random() < 0.15:
+            for row in mat:
+                row[j] = 0
+    return mat
+
+
+def test_eliminations_match_rref_oracles():
+    rng = random.Random(127)
+    seen = Counter()
+    for trial in range(500):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+        mat = _random_matrix(rng, rows, cols)
+        rk = rref_rank(mat)
+        assert ratl.rank(mat) == rk
+        assert ratl.kernel(mat) == rref_kernel(mat)
+        if trial % 2:  # a right side in the column space
+            rhs = ratl.mat_vec(mat, [random_rational(rng) for _ in range(cols)])
+        else:
+            rhs = [random_rational(rng) for _ in range(rows)]
+        got = ratl.solve(mat, rhs)
+        assert got == rref_solve(mat, rhs)
+        assert got is None or all(isinstance(x, Fraction) for x in got)
+        if rows == cols:
+            assert ratl.det(mat) == fraction_det(mat)
+            want = rref_inverse(mat)
+            if want is None:
+                with pytest.raises(ValueError):
+                    ratl.inverse(mat)
+            else:
+                assert ratl.inverse(mat) == want
+        seen["tall" if rows > cols else "wide" if rows < cols else "square"] += 1
+        seen["inconsistent" if got is None else "solved"] += 1
+        seen["singular" if rows == cols and rk < rows else "other"] += 1
+        seen["zero row"] += any(not any(row) for row in mat)
+        seen["zero column"] += any(not any(col) for col in zip(*mat))
+    assert min(seen.values()) >= 20, seen
+
+
+def test_pfaffian_pencil_vandermonde_matches_rref_oracle():
+    rng = random.Random(131)
+    for m in range(1, 8):
+        vand = [[t**j for j in range(m + 1)] for t in range(m + 1)]
+        samples = [rng.randint(-10**6, 10**6) for _ in range(m + 1)]
+        assert ratl.solve(vand, samples) == rref_solve(vand, samples)
+        assert ratl.det(vand) == fraction_det(vand)
+        assert ratl.inverse(vand) == rref_inverse(vand)
+    for m in range(1, 5):
+        a1, a2 = random_antisymmetric(rng, 2 * m), random_antisymmetric(rng, 2 * m)
+        datum = BundleDatum(m=m, d=1, components=(a1, a2))
+        vand = [[t**j for j in range(m + 1)] for t in range(m + 1)]
+        samples = [
+            pfaffian_expansion([[t * x + y for x, y in zip(r1, r2)] for r1, r2 in zip(a1, a2)])
+            for t in range(m + 1)
+        ]
+        assert pfaffian_binary_form(datum) == tuple(rref_solve(vand, samples))
+
+
+# the frames of the benchmark's eigensplit.unsaturated class, with the
+# eigenbases integer_kernel gives for A2 = T^-1 diag(1, 1, -1, -1) T; each
+# spans a sublattice of index > 1 of its eigenspace, and the benchmark
+# expects exactly these until the saturation fix changes both together
+UNSATURATED_FRAMES = (
+    ((2, -2, -1, 0), (-1, 1, 0, 0), (-1, 2, 2, 0), (-1, -1, 0, 1)),
+    ((-1, 1, 0, 2), (0, -1, 1, -1), (1, -2, 1, -2), (-1, -1, 1, 1)),
+    ((0, 1, 1, -1), (-2, 2, 1, -1), (2, 0, 1, -2), (-1, 1, 1, -1)),
+)
+UNSATURATED_EIGENBASES = (
+    ([[2, -2, 3, 0], [2, 1, 0, 3]], [[0, 0, 0, 1], [1, 1, 0, 0]]),
+    ([[1, 2, 3, 0], [4, -1, 0, 3]], [[1, -1, 0, 1], [1, 1, 1, 0]]),
+    ([[1, 2, 0, 1], [1, 3, -2, 0]], [[1, 2, -2, 0], [1, 2, 0, 2]]),
+)
+
+
+def test_integer_kernel_unchanged_on_unsaturated_frames():
+    diag = [[(1 if i < 2 else -1) * int(i == j) for j in range(4)] for i in range(4)]
+    for frame, bases in zip(UNSATURATED_FRAMES, UNSATURATED_EIGENBASES):
+        a2 = ratl.mat_mul(ratl.mat_mul(rref_inverse(frame), diag), frame)
+        for sign, want in zip((1, -1), bases):
+            shifted = [[int(x) - sign * (i == j) for j, x in enumerate(row)]
+                       for i, row in enumerate(a2)]
+            assert ratl.integer_kernel(shifted) == want
+
+
+def _random_structure(rng, m, style):
+    """A bundle with d = 1 and a real structure of the given style:
+
+    "rational": random involutions, L, d1, d2 with denominators up to 6;
+    "integral": the same with integer entries, so I4 and I6 hold;
+    "witness": A1 = A2 = s I and L = -(s / 2) A(., gamma0), so the I7
+    witness is gamma0 when the form is nondegenerate, and gamma0 is
+    integral or not.
+    """
+    n = 2 * m
+    comps = (random_antisymmetric(rng, n), random_antisymmetric(rng, n))
+    datum = BundleDatum(m=m, d=1, components=comps)
+    den = 1 if style == "integral" else 6
+
+    def draw():
+        return random_rational(rng, 12, den)
+
+    if style == "witness":
+        s = rng.choice((1, -1))
+        a1 = tuple(tuple(s * int(i == j) for j in range(2)) for i in range(2))
+        a2 = tuple(tuple(s * int(i == j) for j in range(n)) for i in range(n))
+        gamma0 = [random_rational(rng, 6, rng.choice((1, 3))) for _ in range(n)]
+        lmat = tuple(
+            tuple(Fraction(-s, 2) * sum(c[i][j] * g for j, g in enumerate(gamma0)) for i in range(n))
+            for c in comps
+        )
+    else:
+        a1, a2 = random_involution(rng, 2), random_involution(rng, n)
+        lmat = tuple(tuple(draw() for _ in range(n)) for _ in range(2))
+    rs = RealStructureData(
+        A1=a1, A2=a2, L=lmat, d1=tuple(draw() for _ in range(2)), d2=tuple(draw() for _ in range(n))
+    )
+    return datum, rs
+
+
+def test_integral_conditions_and_orbifold_match_fraction_evaluation():
+    rng = random.Random(137)
+    seen = Counter()
+    for trial in range(240):
+        m = 1 + trial % 2
+        style = ("rational", "integral", "witness")[trial % 3]
+        datum, rs = _random_structure(rng, m, style)
+        fiber, base = fraction_square_translation(rs)
+        assert _square_translation(rs) == (tuple(fiber), tuple(base))
+        report = check_integral_conditions(datum, rs)
+        bad4 = fraction_i4_failing_generator(datum, rs)
+        assert report["I4"]["failing_generator"] == bad4
+        assert report["I4"]["ok"] == (bad4 is None)
+        assert report["I5"]["value"] == [str(x) for x in base]
+        assert report["I6"]["value"] == [str(x) for x in fiber]
+        assert report["I6"]["ok"] == all(x.denominator == 1 for x in fiber)
+        gamma = fraction_i7_witness(datum, rs)
+        if gamma is None:
+            assert report["I7"]["witness"] is None
+        else:
+            assert report["I7"]["witness"] == [str(x) for x in gamma]
+        assert report["I7"]["ok"] == (gamma is not None and all(x.denominator == 1 for x in gamma))
+        lifts = None
+        if trial % 4 == 0:
+            lifts = tuple(tuple(random_rational(rng, 5, 3) for _ in range(2)) for _ in range(2 * m))
+        od = orbifold_data(datum, rs, lifts=lifts)
+        zero = tuple(tuple(Fraction(0) for _ in range(2)) for _ in range(2 * m))
+        want = fraction_generator_translations(datum, rs, lifts or zero)
+        assert od.generator_translations == tuple(map(tuple, want))
+        for name in ("I4", "I6", "I7"):
+            seen[name, report[name]["ok"]] += 1
+        seen["I7 witness", gamma is not None] += 1
+    assert len(seen) == 8 and min(seen.values()) >= 5, seen
+
+
+def test_i7_uniqueness_is_the_nondegeneracy_rank():
+    rng = random.Random(139)
+    seen = set()
+    for trial in range(160):
+        m = 1 + trial % 2
+        n = 2 * m
+        comps = [random_antisymmetric(rng, n) for _ in range(2)]
+        if trial % 3 == 0:  # kill e_0 in both components
+            for c in comps:
+                for i in range(n):
+                    c[0][i] = c[i][0] = 0
+        elif trial % 3 == 1 and m == 2:  # both factor through a rank 2 congruence
+            p = [[rng.randint(-2, 2) for _ in range(2)] for _ in range(n)]
+            comps = [ratl.mat_mul(ratl.mat_mul(p, random_antisymmetric(rng, 2)), ratl.transpose(p))
+                     for _ in range(2)]
+        datum = BundleDatum(m=m, d=1, components=comps)
+        zero_l = trial % 2 == 0  # L = 0: the witness 0 always exists
+        rs = RealStructureData(
+            A1=random_involution(rng, 2),
+            A2=random_involution(rng, n),
+            L=tuple(tuple(0 if zero_l else random_rational(rng) for _ in range(n)) for _ in range(2)),
+            d1=(0, 0),
+            d2=(0,) * n,
+        )
+        report = check_integral_conditions(datum, rs)
+        full = rref_rank([row for c in comps for row in c]) == n
+        assert report["nondegenerate"] == full
+        if report["I7"]["witness"] is not None:
+            assert report["I7"]["unique"] == full
+            seen.add(full)
+    assert seen == {True, False}

@@ -109,9 +109,7 @@ def test_split_integrality_invariant():
             vectors.append([a + b for a, b in zip(basis[i], basis[j])])
     for v in vectors:
         for smat in norm.S:
-            val = 2 * ratl.vec_mat_vec(
-                ratl.frac_vector(v), ratl.frac_matrix(smat), ratl.frac_vector(v)
-            )
+            val = 2 * ratl.vec_mat_vec(v, ratl.frac_matrix(smat), v)
             assert val.denominator == 1
 
 
