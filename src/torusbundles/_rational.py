@@ -4,7 +4,7 @@ Small dense matrices only (dimensions here never exceed a few dozen).
 Matrices are lists of lists of Fraction or int; vectors are lists of
 Fraction or int.  Integers stay integers: products of integer matrices and
 vectors are ints, `clear` puts rational entries over one common
-denominator, and rank, det, solve, kernel and inverse share one
+denominator, and rank, solve, integer_kernel and inverse share one
 fraction-free elimination on rows cleared to integers one at a time.  A
 Fraction is built only where a value is handed back, by one division.
 """
@@ -12,7 +12,7 @@ Fraction is built only where a value is handed back, by one division.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, lcm
 
 
 def frac(x) -> Fraction:
@@ -140,20 +140,12 @@ def rank(mat) -> int:
     return len(_bareiss(_cleared(mat), len(mat[0])))
 
 
-def det(mat) -> Fraction:
-    """Exact determinant of a square matrix, by fraction-free elimination."""
-    n = len(mat)
-    cleared = [clear(row) for row in mat]
-    rows = [ints for _, ints in cleared]
-    if len(_bareiss(rows, n)) < n:
-        return Fraction(0)
-    return Fraction(rows[-1][-1] if n else 1, prod(q for q, _ in cleared))
+def solve(mat, rhs, den: int = 1):
+    """One exact solution of mat x = rhs / den, or None if inconsistent.
 
-
-def solve(mat, rhs):
-    """One exact solution of mat x = rhs, or None if inconsistent.
-
-    Free variables are set to zero.
+    Free variables are set to zero.  An integer right side over a common
+    denominator den is eliminated as it is and divided by den only in the
+    solution.
     """
     m = len(mat[0]) if mat else 0
     rows = _cleared([*row, b if type(b) is int else frac(b)] for row, b in zip(mat, rhs))
@@ -163,54 +155,34 @@ def solve(mat, rhs):
     d, y = _back(rows, pivots, [row[m] for row in rows])
     x = [Fraction(0)] * m
     for col, v in zip(pivots, y):
-        x[col] = Fraction(v, d)
+        x[col] = Fraction(v, d * den)
     return x
 
 
-def _null(mat):
-    """(D, vectors): D times the echelon basis of the null space, as ints.
+def integer_kernel(mat):
+    """Primitive integer basis of the null space, ordered lexicographically.
 
-    One vector per free column, which carries D; D is nonzero.
+    One echelon kernel vector per free column, scaled to integers by the
+    last pivot D and then made primitive on its own, first nonzero > 0.
+    The basis spans ker(mat) over Q but may span only a sublattice of
+    ker(mat) meet Z^n (index 2 or 3 for some conjugates of
+    diag(1, 1, -1, -1) on Z^4).
     """
     m = len(mat[0]) if mat else 0
     rows = _cleared(mat)
     pivots = _bareiss(rows, m)
-    d, basis = 1, []
+    basis = []
     for free in (c for c in range(m) if c not in pivots):
         d, y = _back(rows, pivots, [-row[free] for row in rows])
         v = [0] * m
         v[free] = d
         for col, val in zip(pivots, y):
             v[col] = val
-        basis.append(v)
-    return d, basis
-
-
-def kernel(mat):
-    """Basis of the rational null space, one vector per free column."""
-    d, basis = _null(mat)
-    return [[Fraction(x, d) for x in v] for v in basis]
-
-
-def _primitive_integer(v):
-    """Scale a rational vector to a primitive integer vector, first nonzero > 0."""
-    _, ints = clear(v)
-    g = gcd(*ints)
-    if g > 1:
-        ints = [x // g for x in ints]
-    if next((x for x in ints if x), 0) < 0:
-        ints = [-x for x in ints]
-    return ints
-
-
-def integer_kernel(mat):
-    """Primitive integer basis of the null space, ordered lexicographically.
-
-    Each echelon kernel vector is made primitive on its own, so the basis
-    spans ker(mat) over Q but may span only a sublattice of ker(mat) meet
-    Z^n (index 2 or 3 for some conjugates of diag(1, 1, -1, -1) on Z^4).
-    """
-    return sorted(_primitive_integer(v) for v in _null(mat)[1])
+        g = gcd(*v)
+        if next(x for x in v if x) < 0:
+            g = -g
+        basis.append([x // g for x in v])
+    return sorted(basis)
 
 
 def inverse(mat):

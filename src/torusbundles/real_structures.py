@@ -242,10 +242,10 @@ def check_integral_conditions(datum: BundleDatum, rs: RealStructureData) -> dict
     }
 
     # I7: stacked exact solve for the witness; row (k, i) reads
-    # A_k(e_i, gamma) = -(L A2 + A1 L)[k][i], its right side over q
+    # A_k(e_i, gamma) = -(L A2 + A1 L)[k][i], its right side in ints over q
     qmat = ratl.mat_add(ratl.mat_mul(ql, a2), ratl.mat_mul(a1, ql))
     stacked = [row for c in comps for row in c]
-    gamma = ratl.solve(stacked, [Fraction(-x, q) for row in qmat for x in row])
+    gamma = ratl.solve(stacked, [-x for row in qmat for x in row], q)
     if gamma is None:
         report["I7"] = {
             "ok": False,

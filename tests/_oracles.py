@@ -150,17 +150,19 @@ def fraction_det(mat) -> Fraction:
 # the integral conditions and orbifold translations, entry by entry
 
 
-def random_involution(rng: random.Random, n: int, moves: int = 6):
-    """U^-1 diag(+-1) U for a unimodular U of random row moves, as int tuples."""
+def random_involution(rng: random.Random, n: int):
+    """U diag(+-1) U^-1 for a unimodular U of 3n random row moves, as int tuples."""
     u = [[int(i == j) for j in range(n)] for i in range(n)]
-    for _ in range(moves):
-        i, j = rng.sample(range(n), 2)
+    for _ in range(3 * n):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i == j:
+            continue
         c = rng.randint(-2, 2)
         u[i] = [a + c * b for a, b in zip(u[i], u[j])]
     ui = rref_inverse(u)
     signs = [rng.choice((1, -1)) for _ in range(n)]
     return tuple(
-        tuple(int(sum(ui[i][k] * signs[k] * u[k][j] for k in range(n))) for j in range(n))
+        tuple(int(sum(u[i][k] * signs[k] * ui[k][j] for k in range(n))) for j in range(n))
         for i in range(n)
     )
 

@@ -52,6 +52,8 @@ from _oracles import (
     kodaira_grid_solutions,
     projective_sweep_has_real_root,
     random_antisymmetric,
+    random_involution,
+    random_rational,
     random_rational_vector,
     threefold_multistart_solutions,
 )
@@ -280,30 +282,6 @@ def test_criterion_4_quadric_family_sampler_and_empty_side():
 # 5. involution data round trip is exact in rational arithmetic
 
 
-def _acc_unimodular(rng, n):
-    mat = ratl.identity(n)
-    for _ in range(3 * n):
-        i, j = rng.randrange(n), rng.randrange(n)
-        if i == j:
-            continue
-        c = Fraction(rng.randint(-2, 2))
-        mat[i] = [a + c * b for a, b in zip(mat[i], mat[j])]
-    return mat
-
-
-def _acc_involution(rng, n):
-    u = _acc_unimodular(rng, n)
-    ui = ratl.inverse(u)
-    signs = [rng.choice((1, -1)) for _ in range(n)]
-    s = [[Fraction(signs[i] if i == j else 0) for j in range(n)] for i in range(n)]
-    m = ratl.mat_mul(ratl.mat_mul(u, s), ui)
-    return tuple(tuple(int(x) for x in row) for row in m)
-
-
-def _acc_rational(rng):
-    return Fraction(rng.randint(-12, 12), rng.randint(1, 7))
-
-
 def test_criterion_5_orbifold_round_trip_exact():
     """100 random rational structures reconstruct exactly after normalization."""
     rng = random.Random(5)
@@ -312,11 +290,11 @@ def test_criterion_5_orbifold_round_trip_exact():
         n, k = 2 * datum.m, 2 * datum.d
         for _ in range(50):
             rs = RealStructureData(
-                A1=_acc_involution(rng, k),
-                A2=_acc_involution(rng, n),
-                L=tuple(tuple(_acc_rational(rng) for _ in range(n)) for _ in range(k)),
-                d1=tuple(_acc_rational(rng) for _ in range(k)),
-                d2=tuple(_acc_rational(rng) for _ in range(n)),
+                A1=random_involution(rng, k),
+                A2=random_involution(rng, n),
+                L=tuple(tuple(random_rational(rng, 12) for _ in range(n)) for _ in range(k)),
+                d1=tuple(random_rational(rng, 12) for _ in range(k)),
+                d2=tuple(random_rational(rng, 12) for _ in range(n)),
             )
             od = orbifold_data(datum, rs)
             back = reconstruct_from_orbifold(datum, od)

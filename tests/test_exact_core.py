@@ -1,8 +1,8 @@
 """The integer core of the exact layer against independent references.
 
 The pfaffian is checked against its row expansion and against the
-determinant; rank, det, solve, kernel and inverse, all one fraction-free
-elimination, against Gauss-Jordan over Fractions; the integral conditions
+determinant; rank, solve, integer_kernel and inverse, all one
+fraction-free elimination, against Gauss-Jordan over Fractions; the integral conditions
 and the orbifold translations on the scaled integer data against direct
 Fraction evaluation.
 """
@@ -11,6 +11,7 @@ import random
 import time
 from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -99,7 +100,7 @@ def test_pfaffian_squares_to_determinant_up_to_m7():
                 p = [[rng.randint(-2, 2) for _ in range(2 * m - 2)] for _ in range(2 * m)]
                 mat = _congruent(p, random_antisymmetric(rng, 2 * m - 2))
             pf = pfaffian(mat)
-            assert pf * pf == ratl.det(ratl.frac_matrix(mat))
+            assert pf * pf == fraction_det(mat)
 
 
 def test_integer_rank_matches_fraction_rank():
@@ -160,6 +161,17 @@ def _random_matrix(rng, rows, cols):
     return mat
 
 
+def _primitive(v):
+    """A rational vector scaled to a primitive integer one, first nonzero > 0."""
+    den = 1
+    for x in v:
+        den = den * x.denominator // gcd(den, x.denominator)
+    ints = [int(x * den) for x in v]
+    g = gcd(*ints)
+    sign = 1 if next(x for x in ints if x) > 0 else -1
+    return [sign * x // g for x in ints]
+
+
 def test_eliminations_match_rref_oracles():
     rng = random.Random(127)
     seen = Counter()
@@ -168,7 +180,7 @@ def test_eliminations_match_rref_oracles():
         mat = _random_matrix(rng, rows, cols)
         rk = rref_rank(mat)
         assert ratl.rank(mat) == rk
-        assert ratl.kernel(mat) == rref_kernel(mat)
+        assert ratl.integer_kernel(mat) == sorted(map(_primitive, rref_kernel(mat)))
         if trial % 2:  # a right side in the column space
             rhs = ratl.mat_vec(mat, [random_rational(rng) for _ in range(cols)])
         else:
@@ -176,8 +188,10 @@ def test_eliminations_match_rref_oracles():
         got = ratl.solve(mat, rhs)
         assert got == rref_solve(mat, rhs)
         assert got is None or all(isinstance(x, Fraction) for x in got)
+        q = rng.randint(1, 12)  # an integer right side over a common denominator
+        int_rhs = [rng.randint(-20, 20) for _ in range(rows)]
+        assert ratl.solve(mat, int_rhs, q) == rref_solve(mat, [Fraction(x, q) for x in int_rhs])
         if rows == cols:
-            assert ratl.det(mat) == fraction_det(mat)
             want = rref_inverse(mat)
             if want is None:
                 with pytest.raises(ValueError):
@@ -198,7 +212,6 @@ def test_pfaffian_pencil_vandermonde_matches_rref_oracle():
         vand = [[t**j for j in range(m + 1)] for t in range(m + 1)]
         samples = [rng.randint(-10**6, 10**6) for _ in range(m + 1)]
         assert ratl.solve(vand, samples) == rref_solve(vand, samples)
-        assert ratl.det(vand) == fraction_det(vand)
         assert ratl.inverse(vand) == rref_inverse(vand)
     for m in range(1, 5):
         a1, a2 = random_antisymmetric(rng, 2 * m), random_antisymmetric(rng, 2 * m)

@@ -26,7 +26,7 @@ from torusbundles.real_structures import (
     tensor_equations_residuals,
 )
 
-from _oracles import float_lattice_labels
+from _oracles import float_lattice_labels, random_involution, random_rational
 
 J2 = ((0, 1), (-1, 0))
 Z2 = ((0, 0), (0, 0))
@@ -412,42 +412,17 @@ def test_orbifold_data_frozen():
     assert back == normalize_translation(rs)
 
 
-def _random_unimodular(rng, n):
-    mat = ratl.identity(n)
-    for _ in range(3 * n):
-        i = rng.randrange(n)
-        j = rng.randrange(n)
-        if i == j:
-            continue
-        c = Fraction(rng.randint(-2, 2))
-        mat[i] = [a + c * b for a, b in zip(mat[i], mat[j])]
-    return mat
-
-
-def _random_involution(rng, n):
-    u = _random_unimodular(rng, n)
-    ui = ratl.inverse(u)
-    signs = [rng.choice((1, -1)) for _ in range(n)]
-    s = [[Fraction(signs[i] if i == j else 0) for j in range(n)] for i in range(n)]
-    m = ratl.mat_mul(ratl.mat_mul(u, s), ui)
-    return tuple(tuple(int(x) for x in row) for row in m)
-
-
-def _random_rational(rng):
-    return Fraction(rng.randint(-12, 12), rng.randint(1, 7))
-
-
 def test_orbifold_round_trip_random():
     rng = random.Random(5)
     for datum in (KODAIRA, THREE):
         n, k = 2 * datum.m, 2 * datum.d
         for _ in range(25):
             rs = RealStructureData(
-                A1=_random_involution(rng, k),
-                A2=_random_involution(rng, n),
-                L=tuple(tuple(_random_rational(rng) for _ in range(n)) for _ in range(k)),
-                d1=tuple(_random_rational(rng) for _ in range(k)),
-                d2=tuple(_random_rational(rng) for _ in range(n)),
+                A1=random_involution(rng, k),
+                A2=random_involution(rng, n),
+                L=tuple(tuple(random_rational(rng, 12) for _ in range(n)) for _ in range(k)),
+                d1=tuple(random_rational(rng, 12) for _ in range(k)),
+                d2=tuple(random_rational(rng, 12) for _ in range(n)),
             )
             lifts = tuple(
                 tuple(Fraction(rng.randint(-2, 2)) for _ in range(k)) for _ in range(n)

@@ -1,10 +1,10 @@
 """Fingerprint every op of benchmark pools, one line per op.
 
-    python3 tools/same_outputs.py WORKLOAD SEEDS OUT [--seconds S]
+    python3 tools/same_outputs.py WORKLOAD SEEDS OUT
 
 SEEDS is a list such as 1,2,3 or a range such as 1-3.  The pools are
-those of bench/run.py, built by its build_pool for --seconds (default 25,
-the benchmark's run length), and each op runs once through its run_op.
+those of bench/run.py, built by its build_pool for the run length
+`run_seconds` of BENCHMARK.json, and each op runs once through its run_op.
 A line holds the seed, the op index, the class, the exit code and two
 sha256 digests:
 
@@ -25,6 +25,7 @@ import contextlib
 import dataclasses
 import hashlib
 import io
+import json
 import sys
 import tempfile
 from pathlib import Path
@@ -89,8 +90,8 @@ def main(argv=None):
     parser.add_argument("workload", choices=sorted(run.WORKLOADS))
     parser.add_argument("seeds", type=parse_seeds)
     parser.add_argument("out", type=Path)
-    parser.add_argument("--seconds", type=float, default=25.0)
     args = parser.parse_args(argv)
+    seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
 
     source = Path(torusbundles.cli.__file__).resolve().parent
     if source != (ROOT / "src" / "torusbundles").resolve():
@@ -99,7 +100,7 @@ def main(argv=None):
     lines = []
     for seed in args.seeds:
         with tempfile.TemporaryDirectory() as tmp:
-            ops, _ = run.build_pool(args.workload, seed, args.seconds, Path(tmp))
+            ops, _ = run.build_pool(args.workload, seed, seconds, Path(tmp))
             for i, op in enumerate(ops):
                 rc, first, second = fingerprint(op, torusbundles.cli.main)
                 lines.append(f"{seed}\t{i}\t{op.cls}\t{rc}\t{first}\t{second}\n")
