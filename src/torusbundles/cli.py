@@ -10,7 +10,6 @@ means the command itself failed (an internal error, reported on one line).
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 import numpy as np
 
@@ -39,41 +38,8 @@ from .solver_explorer import (
     solve,
 )
 
-COMMANDS = (
-    "check-bundle",
-    "check-real",
-    "decompose",
-    "solve",
-    "sample",
-    "certify",
-    "reconstruct",
-)
-
-
 class InputError(Exception):
     """Malformed or missing input data; maps to exit status 2."""
-
-
-def _jsonable(obj):
-    if isinstance(obj, Fraction):
-        return str(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        if np.iscomplexobj(obj):
-            return {"re": _jsonable(obj.real), "im": _jsonable(obj.imag)}
-        return _jsonable(obj.tolist())
-    if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (bool, int, float, str)) or obj is None:
-        return obj
-    return str(obj)
 
 
 def _section(doc, name):
@@ -92,10 +58,7 @@ def _load_datum(doc) -> BundleDatum:
         return BundleDatum(
             m=int(doc["m"]),
             d=int(doc["d"]),
-            components=tuple(
-                tuple(tuple(entry for entry in row) for row in mat)
-                for mat in doc["components"]
-            ),
+            components=doc["components"],
         )
     except (TypeError, ValueError) as exc:
         raise InputError(f"invalid bundle datum: {exc}") from exc
@@ -148,8 +111,17 @@ def _require_floats(datum, rs=None):
             raise InputError(f"{key} has an entry beyond the float range") from None
 
 
+def _strs(values) -> list:
+    """Rational entries, nested to any depth, as 'p/q' strings."""
+    return [_strs(v) if isinstance(v, tuple) else str(v) for v in values]
+
+
+def _complex(arr) -> dict:
+    return {"re": arr.real.tolist(), "im": arr.imag.tolist()}
+
+
 def _structure_block(rs: RealStructureData) -> dict:
-    return {key: getattr(rs, key) for key in ("A1", "A2", "L", "d1", "d2")}
+    return {"A1": rs.A1, "A2": rs.A2, "L": _strs(rs.L), "d1": _strs(rs.d1), "d2": _strs(rs.d2)}
 
 
 def _load_pair(doc, datum) -> ComplexStructurePair:
@@ -228,6 +200,8 @@ def _cmd_check_real(doc, args):
         dianalytic = check_dianalytic_conditions(datum, rs, pair, tol=tol)
     except ValueError as exc:
         raise InputError(f"dianalytic check needs a compatible pair: {exc}") from exc
+    reps = dianalytic["complex_representatives"]
+    dianalytic["complex_representatives"] = {key: _complex(arr) for key, arr in reps.items()}
     failed = []
     for name, item in integral.items():
         if isinstance(item, dict) and not item.get("ok", True):
@@ -260,8 +234,8 @@ def _cmd_decompose(doc, args):
     report = {
         "command": "decompose",
         "compatibility_residual": dec.riemann_defect,
-        "B_prime": dec.B_prime,
-        "B_doubleprime": dec.B_doubleprime,
+        "B_prime": _complex(dec.B_prime),
+        "B_doubleprime": _complex(dec.B_doubleprime),
         "riemann_defect": dec.riemann_defect,
         "reconstruction_residual": dec.reconstruction_residual,
         "parallelizable": is_parallelizable(dec),
@@ -352,10 +326,10 @@ def _cmd_reconstruct(doc, args):
         "orbifold": {
             "A1": data.A1,
             "A2": data.A2,
-            "d2": data.d2,
-            "generator_translations": data.generator_translations,
-            "square_translation_y": data.square_translation_y,
-            "square_translation_x": data.square_translation_x,
+            "d2": _strs(data.d2),
+            "generator_translations": _strs(data.generator_translations),
+            "square_translation_y": _strs(data.square_translation_y),
+            "square_translation_x": _strs(data.square_translation_x),
         },
         "real_structure": _structure_block(rec),
         "round_trip_exact": exact,
@@ -386,9 +360,9 @@ def _human_value(value):
         return "true" if value else "false"
     if isinstance(value, float):
         return f"{value:.12g}"
-    if isinstance(value, (dict, list)):
+    if isinstance(value, (dict, list, tuple)):
         text = json.dumps(value, sort_keys=True)
-        if isinstance(value, list) and len(text) > 120:
+        if not isinstance(value, dict) and len(text) > 120:
             # bulk payloads stay readable; --format machine has the data
             return f"[{len(value)} entries]"
         return text
@@ -400,7 +374,7 @@ def _human_lines(report, prefix=""):
     for key, value in report.items():
         path = f"{prefix}{key}"
         if isinstance(value, dict) and value and all(
-            not isinstance(v, (dict, list)) for v in value.values()
+            not isinstance(v, (dict, list, tuple)) for v in value.values()
         ):
             inner = ", ".join(f"{k}: {_human_value(v)}" for k, v in value.items())
             lines.append(f"{path}: {inner}")
@@ -412,68 +386,70 @@ def _human_lines(report, prefix=""):
 
 
 def render(report, fmt):
-    safe = _jsonable(report)
     if fmt == "machine":
-        return json.dumps(safe, sort_keys=True, indent=2) + "\n"
-    return "\n".join(_human_lines(safe)) + "\n"
+        return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    return "\n".join(_human_lines(report)) + "\n"
+
+
+def _read_document(path) -> dict:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except OSError as exc:
+        raise InputError(str(exc)) from exc
+    except (ValueError, RecursionError) as exc:
+        # not UTF-8, an integer beyond the digit limit, or nested too deeply
+        raise InputError(f"{path}: {exc}") from None
+    if not isinstance(doc, dict):
+        raise InputError("top-level JSON value must be an object")
+    return doc
+
+
+def _write(text, out):
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(str(exc)) from exc
+
+
+_PARSER = argparse.ArgumentParser(
+    prog="torusbundles",
+    description="checks, solvers, and connectivity certificates for torus-bundle data",
+)
+_PARSER.add_argument("command", choices=_HANDLERS)
+_PARSER.add_argument("input", help="path to the JSON input document")
+_PARSER.add_argument("--seed", type=int, default=0)
+_PARSER.add_argument("--samples", type=int, default=20)
+_PARSER.add_argument("--tol", type=float, default=None)
+_PARSER.add_argument("--out", default=None)
+_PARSER.add_argument("--format", choices=("human", "machine"), default="human")
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="torusbundles",
-        description="checks, solvers, and connectivity certificates "
-        "for torus-bundle data",
-    )
-    parser.add_argument("command", choices=COMMANDS)
-    parser.add_argument("input", help="path to the JSON input document")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--samples", type=int, default=20)
-    parser.add_argument("--tol", type=float, default=None)
-    parser.add_argument("--out", default=None)
-    parser.add_argument("--format", choices=("human", "machine"), default="human")
-    args = parser.parse_args(argv)
-    for bad, rule in (
-        (args.samples < 1, "--samples must be at least 1"),
-        (args.seed < 0, "--seed must be non-negative"),
-        (args.tol is not None and not 0 <= args.tol < float("inf"), "--tol must be finite and >= 0"),
-    ):
-        if bad:
-            print(f"input error: {rule}", file=sys.stderr)
-            return 2
-
+    args = _PARSER.parse_args(argv)
     try:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                print(
-                    f"input error: {args.input}:{exc.lineno}:{exc.colno}: {exc.msg}",
-                    file=sys.stderr,
-                )
-                return 2
-    except OSError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    if not isinstance(doc, dict):
-        print("input error: top-level JSON value must be an object", file=sys.stderr)
-        return 2
-
-    try:
-        report, failed = _HANDLERS[args.command](doc, args)
+        for bad, rule in (
+            (args.samples < 1, "--samples must be at least 1"),
+            (args.seed < 0, "--seed must be non-negative"),
+            (args.tol is not None and not 0 <= args.tol < float("inf"), "--tol must be finite and >= 0"),
+        ):
+            if bad:
+                raise InputError(rule)
+        report, failed = _HANDLERS[args.command](_read_document(args.input), args)
+        report["ok"] = not failed
+        _write(render(report, args.format), args.out)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-
-    report["ok"] = not failed
-    text = render(report, args.format)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return 0 if not failed else 1
 
 

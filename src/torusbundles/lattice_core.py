@@ -52,7 +52,7 @@ class BundleDatum:
     def __post_init__(self):
         if self.m < 1 or self.d < 1:
             raise ValueError("m and d must be positive integers")
-        comps = tuple(tuple(tuple(entry for entry in row) for row in mat) for mat in self.components)
+        comps = tuple([tuple([tuple(row) for row in mat]) for mat in self.components])
         if len(comps) != 2 * self.d:
             raise ValueError(
                 f"expected {2 * self.d} component matrices, got {len(comps)}"

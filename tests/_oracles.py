@@ -568,3 +568,30 @@ def eager_connect(p, q, sys) -> se.ConnectPath:
         else:
             return joined(full, "roadmap")
     return se.ConnectPath(success=False, points=())
+
+
+# ---------------------------------------------------------------------------
+# JSON conversion of a report by walking it, as the CLI once did before
+# rendering; its output renders the same as the report itself
+
+
+def _jsonable(obj):
+    if isinstance(obj, Fraction):
+        return str(obj)
+    if isinstance(obj, (np.floating,)):
+        return float(obj)
+    if isinstance(obj, (np.integer,)):
+        return int(obj)
+    if isinstance(obj, np.ndarray):
+        if np.iscomplexobj(obj):
+            return {"re": _jsonable(obj.real), "im": _jsonable(obj.imag)}
+        return _jsonable(obj.tolist())
+    if isinstance(obj, complex):
+        return {"re": obj.real, "im": obj.imag}
+    if isinstance(obj, dict):
+        return {str(k): _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
+    if isinstance(obj, (bool, int, float, str)) or obj is None:
+        return obj
+    return str(obj)

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from _oracles import _jsonable
 from torusbundles import cli, complex_structures
 from torusbundles.cli import main
 
@@ -548,3 +549,84 @@ def test_each_structure_gets_one_frame(tmp_path, capsys, monkeypatch):
         built.clear()
         assert run(tmp_path, capsys, command, KOD)[0] == 0
         assert len(built) == 2, command
+
+
+def test_check_real_refuses_a_non_involution_at_load(tmp_path, capsys):
+    # so I1 and I2 hold in every report that check-real writes
+    rc, out, err = run(tmp_path, capsys, "check-real", _kod_with(A2=[[1, 1], [0, 1]]))
+    assert rc == 2 and out == ""
+    assert err == "input error: invalid real structure: A2 squared is not the identity\n"
+
+
+def _one_input_error(rc, out, err):
+    return rc == 2 and out == "" and err.startswith("input error:") and err.count("\n") == 1
+
+
+def test_unwritable_out_path_exit_2(tmp_path, capsys):
+    # used to raise FileNotFoundError with exit 1
+    out_path = tmp_path / "missing-dir" / "report.json"
+    assert _one_input_error(*run(tmp_path, capsys, "check-bundle", KOD, "--out", str(out_path)))
+
+
+@pytest.mark.parametrize(
+    "data",
+    [b"\xff\xfe", b"[" * 100_000 + b"]" * 100_000, b'{"m": ' + b"1" * 5000 + b"}"],
+    ids=["not-utf8", "nested-too-deeply", "integer-beyond-digit-limit"],
+)
+def test_unreadable_document_exit_2(tmp_path, capsys, data):
+    # each used to escape with exit 1: UnicodeDecodeError, RecursionError,
+    # and the ValueError json raises for an integer of more than 4300 digits
+    path = tmp_path / "input.json"
+    path.write_bytes(data)
+    rc = main(["check-bundle", str(path)])
+    assert _one_input_error(rc, *capsys.readouterr())
+
+
+def test_unrenderable_report_exit_3(tmp_path, capsys, monkeypatch):
+    monkeypatch.setitem(cli._HANDLERS, "solve", lambda doc, args: ({"value": object()}, []))
+    rc, out, err = run(tmp_path, capsys, "solve", QUADRIC_SYS, "--format", "machine")
+    assert rc == 3 and out == ""
+    assert err.startswith("internal error: TypeError:") and err.count("\n") == 1
+
+
+EMPTY_SYS = {"system": {**QUADRIC_SYS["system"], "a_minus": -1}}
+SPLIT_SYS = {"system": {**QUADRIC_SYS["system"], "a_plus": 0, "a_minus": 0,
+                        "D": [[1, 0], [0, 1]]}}
+# not compatible with the standard J2
+INCOMPATIBLE = {"m": 2, "d": 1, "components": [
+    [[0, 0, -1, -1], [0, 0, 0, -1], [1, 0, 0, 0], [1, 1, 0, 0]],
+    [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 2], [0, 0, -2, 0]]]}
+ORBIFOLD = {"A1": [[-1, 0], [0, 1]], "A2": [[1, 0], [0, -1]], "d2": ["1/2", 0],
+            "generator_translations": [[2, "1/3"], [0, 4]],
+            "square_translation_y": [0, 0], "square_translation_x": [1, 0]}
+
+RENDER_CASES = {
+    "check-bundle": ("check-bundle", KOD, ()),
+    "check-bundle-definite": ("check-bundle", DEFINITE, ()),
+    "check-real": ("check-real", KOD, ()),
+    "check-real-failing": ("check-real", _kod_with(d2=["1/3", 0]), ()),
+    "decompose": ("decompose", KOD, ()),
+    "decompose-incompatible": ("decompose", INCOMPATIBLE, ()),
+    "solve": ("solve", QUADRIC_SYS, ()),
+    "solve-split": ("solve", SPLIT_SYS, ()),
+    "solve-from-real-structure": ("solve", KOD, ()),
+    "sample": ("sample", QUADRIC_SYS, ("--samples", "3")),
+    "sample-empty": ("sample", EMPTY_SYS, ()),
+    "certify": ("certify", SPLIT_SYS, ("--samples", "4")),
+    "certify-empty": ("certify", EMPTY_SYS, ()),
+    "reconstruct": ("reconstruct", _kod_with(L=[[2, 0], ["1/2", 4]], d1=["1/2", "1/3"]), ()),
+    "reconstruct-orbifold": ("reconstruct", {**KOD, "orbifold": ORBIFOLD}, ()),
+    "reconstruct-inconsistent": ("reconstruct", {**KOD, "orbifold": {
+        **ORBIFOLD, "square_translation_x": [0, 0]}}, ()),
+}
+
+
+@pytest.mark.parametrize("command, doc, flags", RENDER_CASES.values(), ids=RENDER_CASES)
+def test_reports_render_as_their_walked_conversion(command, doc, flags):
+    args = cli._PARSER.parse_args([command, "input.json", *flags])
+    report, failed = cli._HANDLERS[command](json.loads(json.dumps(doc)), args)
+    report["ok"] = not failed
+    json.dumps(report)  # no default: every value is already a JSON value
+    walked = _jsonable(report)
+    assert cli.render(report, "machine") == json.dumps(walked, sort_keys=True, indent=2) + "\n"
+    assert cli.render(report, "human") == "\n".join(cli._human_lines(walked)) + "\n"

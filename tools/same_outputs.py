@@ -5,13 +5,14 @@
 SEEDS is a list such as 1,2,3 or a range such as 1-3.  The pools are
 those of bench/run.py, built by its build_pool for the run length
 `run_seconds` of BENCHMARK.json, and each op runs once through its run_op.
-A line holds the seed, the op index, the class, the exit code and two
+A line holds the seed, the op index, the class, the exit code and three
 sha256 digests:
 
-* for a command, of its stdout and of its stderr;
+* for a command, of its stdout and of its stderr with --format machine,
+  and of its stdout when run again with --format human;
 * for an eigensplit op, of every field of the returned EigenSplit (an
-  array by its bytes, dtype, shape, strides and flags), and "-";
-* for an op that raised, of the exception's type and message, and "-".
+  array by its bytes, dtype, shape, strides and flags), "-" and "-";
+* for an op that raised, of the exception's type and message, "-" and "-".
 
 The script reads the package and the benchmark of the checkout it sits
 in.  To compare two checkouts, run each checkout's copy and diff the two
@@ -57,7 +58,7 @@ def _field_parts(name, value):
 
 
 def fingerprint(op, main):
-    """(exit code, first digest, second digest) of one run of op."""
+    """(exit code, three digests) of one run of op."""
     errs = []
 
     def capturing_main(argv):
@@ -70,11 +71,13 @@ def fingerprint(op, main):
 
     rc, out = run.run_op(op, capturing_main)
     if isinstance(out, BaseException):
-        return rc, digest([type(out).__name__, str(out)]), "-"
+        return rc, digest([type(out).__name__, str(out)]), "-", "-"
     if op.command == "eigensplit":
         parts = [p for f in dataclasses.fields(out) for p in _field_parts(f.name, getattr(out, f.name))]
-        return rc, digest(parts), "-"
-    return rc, digest([out]), digest([errs[-1]])
+        return rc, digest(parts), "-", "-"
+    # a later --format wins, so this reruns the op with --format human
+    _, human = run.run_op(op, lambda argv: capturing_main([*argv, "--format", "human"]))
+    return rc, digest([out]), digest([errs[0]]), digest([human])
 
 
 def parse_seeds(text):
@@ -102,8 +105,8 @@ def main(argv=None):
         with tempfile.TemporaryDirectory() as tmp:
             ops, _ = run.build_pool(args.workload, seed, seconds, Path(tmp))
             for i, op in enumerate(ops):
-                rc, first, second = fingerprint(op, torusbundles.cli.main)
-                lines.append(f"{seed}\t{i}\t{op.cls}\t{rc}\t{first}\t{second}\n")
+                rc, *digests = fingerprint(op, torusbundles.cli.main)
+                lines.append("\t".join([str(seed), str(i), op.cls, str(rc), *digests]) + "\n")
     args.out.write_text("".join(lines))
     print(f"same_outputs: {len(lines)} ops written to {args.out}", file=sys.stderr)
     return 0
