@@ -11,15 +11,26 @@ Fraction is built only where a value is handed back, by one division.
 
 from __future__ import annotations
 
+import re
+import sys
 from fractions import Fraction
 from math import gcd, lcm
 
 
 def frac(x) -> Fraction:
-    """Coerce ints, Fractions and 'p/q' strings to Fraction; booleans are refused."""
+    """Coerce ints, Fractions and 'p/q' strings to Fraction; booleans are refused.
+
+    A float is read as the nearest rational of denominator at most 10**12.  A
+    string with more digits, or a larger exponent, than the int digit limit
+    (sys.get_int_max_str_digits) is refused: Fraction('1e10000000') takes seconds.
+    """
     if isinstance(x, Fraction):
         return x
     if isinstance(x, str):
+        limit = sys.get_int_max_str_digits()
+        exp = re.search(r"[eE]\s*([-+]?[\d_]+)", x)
+        if limit and (sum(map(str.isdigit, x)) > limit or exp and abs(int(exp[1])) > limit):
+            raise ValueError(f"{x[:20]!r} has more digits or a larger exponent than {limit}")
         return Fraction(x)
     if isinstance(x, bool):
         raise TypeError(f"{x!r} is a boolean, not a number")

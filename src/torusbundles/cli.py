@@ -136,8 +136,9 @@ def _load_pair(doc, datum) -> ComplexStructurePair:
         raise InputError(f"invalid complex structure pair: {exc}") from exc
 
 
-def _load_system(doc) -> ConstraintSystem:
-    """Constraint system from the 'system' block, or via the eigensplit."""
+def _load_family(doc):
+    """(system, solved description), from the 'system' block or via the eigensplit;
+    exit 2 when a constant of the family lies beyond the float range of the charts."""
     if "system" in doc:
         block = _section(doc, "system")
         keys = ("l_pp", "l_pm", "l_mp", "l_mm")
@@ -145,26 +146,26 @@ def _load_system(doc) -> ConstraintSystem:
             if key not in block:
                 raise InputError(f"missing field 'system.{key}'")
         try:
-            rows = [np.array(block[key], dtype=float) for key in keys]
-            m = int(block.get("m", len(rows[0])))
-            scalars = np.array([block.get("a_plus", 0.0), block.get("a_minus", 0.0)], dtype=float)
-            d_block = np.array(block.get("D", np.zeros((m, m))), dtype=float)
-        except (TypeError, ValueError, OverflowError) as exc:
+            m = int(block.get("m", len(block["l_pp"])))
+            system = ConstraintSystem.from_blocks(
+                m, block.get("a_plus", 0), block.get("a_minus", 0),
+                block.get("D", np.zeros((m, m), dtype=int)), *(block[key] for key in keys),
+            )
+        except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
             raise InputError(f"invalid system block: {exc}") from exc
-        if not all(np.isfinite(arr).all() for arr in (scalars, d_block, *rows)):
-            raise InputError("invalid system block: entries must be finite numbers")
-        try:
-            return ConstraintSystem.from_blocks(m, *scalars.tolist(), d_block, *rows)
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"invalid system block: {exc}") from exc
-    if "real_structure" in doc:
+    elif "real_structure" in doc:
         datum = _load_datum(doc)
         rs = _load_real_structure(doc, datum)
         try:
-            return ConstraintSystem.from_split(eigensplit(datum, rs))
+            system = ConstraintSystem.from_split(eigensplit(datum, rs))
         except (ValueError, OverflowError) as exc:
             raise InputError(f"cannot derive a system from the real structure: {exc}") from exc
-    raise InputError("need a 'system' block or a 'real_structure' block")
+    else:
+        raise InputError("need a 'system' block or a 'real_structure' block")
+    try:
+        return system, solve(system)
+    except OverflowError as exc:
+        raise InputError(f"a constant of the family lies beyond the float range: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -244,15 +245,13 @@ def _cmd_decompose(doc, args):
 
 
 def _cmd_solve(doc, args):
-    system = _load_system(doc)
-    desc = solve(system)
+    _, desc = _load_family(doc)
     report = {"command": "solve", "description": desc.to_dict()}
     return report, []
 
 
 def _cmd_sample(doc, args):
-    system = _load_system(doc)
-    desc = solve(system)
+    system, desc = _load_family(doc)
     report = {
         "command": "sample",
         "case": desc.case_label,
@@ -270,8 +269,7 @@ def _cmd_sample(doc, args):
 
 
 def _cmd_certify(doc, args):
-    system = _load_system(doc)
-    desc = solve(system)
+    system, desc = _load_family(doc)
     cert = connectivity_certificate(system, samples=args.samples, seed=args.seed)
     if desc.is_empty:
         expected = 0
@@ -356,6 +354,8 @@ _HANDLERS = {
 
 
 def _human_value(value):
+    if value is None:
+        return "null"
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):

@@ -461,7 +461,9 @@ class EigenSplit:
     on V+ x V- is minus the transpose of D and is not stored.  L_pp, L_pm,
     L_mp, L_mm are the eigenblocks of L (superscript fiber sign, subscript
     base sign).  gamma_hat_plus is the ambient integer vector in V+ that
-    generates the coupling blocks, when one exists.
+    generates the coupling blocks, when one exists.  exact holds the seven
+    blocks by name as object arrays of Fractions, of which the float
+    blocks are the floats; None when the split was built from floats.
     """
 
     basis_V_plus: np.ndarray
@@ -480,6 +482,7 @@ class EigenSplit:
     notes: tuple = ()
     reassembly_residual: float = 0.0
     gamma_residual: float | None = None
+    exact: dict | None = None
 
     @property
     def dim_V_plus(self) -> int:
@@ -539,8 +542,8 @@ def eigensplit(datum: BundleDatum, rs: RealStructureData) -> EigenSplit:
     v_all = vp + vm
 
     # exact U+ then U- coordinates of the form on eigenbasis pairs and of L,
-    # in ints times qw, copied to C order so that the float blocks keep their
-    # memory layout; each coordinate is divided once, into a float
+    # in ints times qw (and q for L), copied to C order so that the float
+    # blocks keep their memory layout; each is one Fraction, rounded once
     u = len(up)
     vals = np.array(
         [[ratl.mat_vec(w, form_values(datum, x, y)) for y in v_all] for x in v_all],
@@ -553,15 +556,18 @@ def eigensplit(datum: BundleDatum, rs: RealStructureData) -> EigenSplit:
     ):
         if np.any(block != 0):
             raise ValueError(f"eigenspace block structure violated: {name} is nonzero")
-    vals = vals / qw
-    a_plus = vals[:u, :p, :p].astype(float)
-    a_minus = vals[:u, p:, p:].astype(float)
-    d_block = vals[u:, p:, :p].astype(float)
-    lvals = np.array(
+    lnum = np.array(
         [ratl.mat_vec(w, ratl.mat_vec(rs.qL, v)) for v in v_all], dtype=object
-    ).T.copy() / (qw * rs.q)
-    l_pp, l_pm = lvals[:u, :p].astype(float), lvals[:u, p:].astype(float)
-    l_mp, l_mm = lvals[u:, :p].astype(float), lvals[u:, p:].astype(float)
+    ).T.copy()
+    exact = {}
+    for name, ints, den in (
+        ("A_plus", vals[:u, :p, :p], qw), ("A_minus", vals[:u, p:, p:], qw),
+        ("D", vals[u:, p:, :p], qw), ("L_pp", lnum[:u, :p], qw * rs.q),
+        ("L_pm", lnum[:u, p:], qw * rs.q), ("L_mp", lnum[u:, :p], qw * rs.q),
+        ("L_mm", lnum[u:, p:], qw * rs.q),
+    ):
+        exact[name] = np.frompyfunc(lambda n, den=den: Fraction(n, den), 1, 1)(ints)
+    a_plus, a_minus, d_block, l_pp, l_pm, l_mp, l_mm = (v.astype(float) for v in exact.values())
 
     basis_vp = np.array(vp, dtype=int).T if p else np.zeros((2 * m, 0), dtype=int)
     basis_vm = np.array(vm, dtype=int).T if q else np.zeros((2 * m, 0), dtype=int)
@@ -616,6 +622,7 @@ def eigensplit(datum: BundleDatum, rs: RealStructureData) -> EigenSplit:
         notes=tuple(notes),
         reassembly_residual=reassembly,
         gamma_residual=gamma_res,
+        exact=exact,
     )
 
 

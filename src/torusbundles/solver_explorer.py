@@ -24,6 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import _rational as ratl
 from .real_structures import CompatibleStructure, EigenSplit
 
 log = logging.getLogger(__name__)
@@ -36,20 +37,10 @@ REGION_TOL = 1e-9
 _BOX = 10.0  # half-width of the sampling box in chart coordinates
 
 
-def _near_zero(x, scale=1.0):
-    return abs(x) <= ZERO_TOL * max(1.0, scale)
-
-
 def _det2(mat) -> float:
     """Closed-form determinant of a 1x1 or 2x2 matrix."""
     v = np.ravel(mat).tolist()
     return v[0] if len(v) == 1 else v[0] * v[3] - v[1] * v[2]
-
-
-def _inv2(mat) -> np.ndarray:
-    """Closed-form inverse of an invertible 2x2 matrix."""
-    (a, b), (c, d) = np.asarray(mat, dtype=float).tolist()
-    return np.array([[d, -b], [-c, a]]) / (a * d - b * c)
 
 
 def _det2_rounded(p, q, r, s) -> float:
@@ -64,6 +55,11 @@ def _det2_rounded(p, q, r, s) -> float:
         return det
     (a, ad), (d, dd), (b, bd), (c, cd) = (x.as_integer_ratio() for x in (p, s, q, r))
     return (a * d * bd * cd - b * c * ad * dd) / (ad * dd * bd * cd)
+
+
+def _fracs(block) -> tuple:
+    """A row, or a matrix as its rows, of Fractions as tuples."""
+    return tuple(map(_fracs, block)) if block.ndim == 2 else tuple(map(ratl.frac, block.tolist()))
 
 
 def _row_norm(rows) -> float:
@@ -104,8 +100,10 @@ class ConstraintSystem:
     a_plus and a_minus are the off-diagonal entries of the antisymmetric
     blocks on the +1 and -1 base eigenspaces (zero when m = 1), D is the
     mixed block, and the l_* rows are the four eigenblocks of the linear
-    part.  The open region is {b > 0, det B > 0}.  The system keeps the
-    description `solve` computes for it, so treat the blocks as read-only.
+    part.  The open region is {b > 0, det B > 0}.  exact holds the blocks as
+    rationals (a_plus, a_minus, D rows, l_pp, l_pm, l_mp, l_mm), whose floats
+    are the float blocks; the case tree decides every branch on them.  The
+    system keeps the description `solve` computes, so treat it as read-only.
     """
 
     m: int
@@ -117,15 +115,14 @@ class ConstraintSystem:
     l_pm: np.ndarray
     l_mp: np.ndarray
     l_mm: np.ndarray
+    exact: tuple | None = None
     _description: SolutionSetDescription | None = field(default=None, init=False, repr=False)
 
-    @property
-    def scale(self) -> float:
-        vals = [abs(self.a_plus), abs(self.a_minus), np.abs(self.D).max()]
-        for row in (self.l_pp, self.l_pm, self.l_mp, self.l_mm):
-            if row.size:
-                vals.append(np.abs(row).max())
-        return max(1.0, *vals)
+    def __post_init__(self):
+        if self.exact is None:  # built from floats: read them by the package's one rule
+            blocks = (self.D, self.l_pp, self.l_pm, self.l_mp, self.l_mm)
+            self.exact = (ratl.frac(self.a_plus), ratl.frac(self.a_minus),
+                          *(_fracs(np.asarray(x, dtype=object)) for x in blocks))
 
     @classmethod
     def from_split(cls, split: EigenSplit) -> "ConstraintSystem":
@@ -136,72 +133,61 @@ class ConstraintSystem:
             raise ValueError("base eigenspaces have different dimensions")
         if m not in (1, 2):
             raise ValueError("only base eigenspace dimension 1 or 2 is supported")
-        if m == 2:
-            a_plus = float(split.A_plus[0][0, 1])
-            a_minus = float(split.A_minus[0][0, 1])
-        else:
-            a_plus = 0.0
-            a_minus = 0.0
+        # the antisymmetric scalars sit at (0, 1); a 1x1 block is zero at (0, 0)
+        ex = split.exact
         return cls(
             m=m,
             split=split,
-            a_plus=a_plus,
-            a_minus=a_minus,
+            a_plus=float(split.A_plus[0][0, -1]),
+            a_minus=float(split.A_minus[0][0, -1]),
             D=np.array(split.D[0], dtype=float),
             l_pp=np.array(split.L_pp[0], dtype=float),
             l_pm=np.array(split.L_pm[0], dtype=float),
             l_mp=np.array(split.L_mp[0], dtype=float),
             l_mm=np.array(split.L_mm[0], dtype=float),
+            exact=None if ex is None else (
+                ex["A_plus"][0][0, -1], ex["A_minus"][0][0, -1],
+                *(_fracs(ex[k][0]) for k in ("D", "L_pp", "L_pm", "L_mp", "L_mm")),
+            ),
         )
 
     @classmethod
     def from_blocks(cls, m, a_plus, a_minus, D, l_pp, l_pm, l_mp, l_mm) -> "ConstraintSystem":
-        """Build a synthetic system (and backing split) from raw scalars."""
+        """Build a synthetic system (and backing split) from raw scalars,
+        each read with _rational.frac: an int, a Fraction, a 'p/q' string,
+        or a float as the nearest rational of denominator at most 10**12."""
         if m not in (1, 2):
             raise ValueError("only base eigenspace dimension 1 or 2 is supported")
-        d_block = np.atleast_2d(np.array(D, dtype=float))
+        d_block = np.atleast_2d(np.asarray(D, dtype=object))
         if d_block.shape != (m, m):
             raise ValueError(f"D must be {m}x{m}")
         rows = []
         for name, row in (("l_pp", l_pp), ("l_pm", l_pm), ("l_mp", l_mp), ("l_mm", l_mm)):
-            arr = np.atleast_1d(np.array(row, dtype=float))
+            arr = np.atleast_1d(np.asarray(row, dtype=object))
             if arr.shape != (m,):
                 raise ValueError(f"{name} must have length {m}")
             rows.append(arr)
-        if m == 2:
-            skew = np.array([[0.0, 1.0], [-1.0, 0.0]])
-            ap = float(a_plus) * skew
-            am = float(a_minus) * skew
-        else:
-            if a_plus or a_minus:
-                raise ValueError("antisymmetric 1x1 blocks must vanish")
-            ap = np.zeros((1, 1))
-            am = np.zeros((1, 1))
+        ap, am = ratl.frac(a_plus), ratl.frac(a_minus)
+        if m == 1 and (ap or am):
+            raise ValueError("antisymmetric 1x1 blocks must vanish")
+        exact = (ap, am, _fracs(d_block), *map(_fracs, rows))
+        d_block, *rows = (np.array(x, dtype=float) for x in exact[2:])
+        skew = np.array([[[0.0, 1.0], [-1.0, 0.0]]]) if m == 2 else np.zeros((1, 1, 1))
         eye = np.eye(2 * m, dtype=int)
         split = EigenSplit(
             basis_V_plus=eye[:, :m].copy(),
             basis_V_minus=eye[:, m:].copy(),
             basis_U_plus=np.array([[1], [0]]),
             basis_U_minus=np.array([[0], [1]]),
-            A_plus=ap[None, :, :],
-            A_minus=am[None, :, :],
+            A_plus=float(ap) * skew,
+            A_minus=float(am) * skew,
             D=d_block[None, :, :],
             L_pp=rows[0][None, :],
             L_pm=rows[1][None, :],
             L_mp=rows[2][None, :],
             L_mm=rows[3][None, :],
         )
-        return cls(
-            m=m,
-            split=split,
-            a_plus=float(a_plus),
-            a_minus=float(a_minus),
-            D=d_block,
-            l_pp=rows[0],
-            l_pm=rows[1],
-            l_mp=rows[2],
-            l_mm=rows[3],
-        )
+        return cls(m, split, float(ap), float(am), d_block, *rows, exact=exact)
 
     # -- positions -----------------------------------------------------
 
@@ -461,25 +447,29 @@ def _nonempty(sys, label, kind, dim, b_free, constants, draw, notes=(), chart=No
 
 @dataclass(frozen=True)
 class CaseInfo:
+    """A leaf of the case tree: float constants, and the rationals the solver branches on."""
+
     label: str
     constants: dict
     notes: tuple = ()
+    exact: dict = field(default_factory=dict, repr=False)
 
 
-def _wlog_transform(row: np.ndarray) -> np.ndarray:
-    """Unimodular change of the +1 base frame sending the row to (1, 0).
+def _qbprime(d_rows, b_rows):
+    """b'(B) = (DB)_{12} - (DB)_{21} on rational rows."""
+    p = ratl.mat_mul(d_rows, b_rows)
+    return p[0][1] - p[1][0]
+
+
+def _wlog_transform(row) -> list:
+    """Unimodular change of the +1 base frame sending the rational row to (1, 0).
 
     Columns t1, t2 with row @ t1 = 1, row @ t2 = 0 and det = 1, so the
     determinant normalization and the antisymmetric scalars are untouched.
     """
-    r1, r2 = float(row[0]), float(row[1])
+    r1, r2 = row
     n2 = r1 * r1 + r2 * r2
-    return np.array([[r1 / n2, -r2], [r2 / n2, r1]])
-
-
-def _exact_rows(mat) -> list:
-    """Rows of a float matrix as exact Fractions."""
-    return [[Fraction(x) for x in row] for row in np.asarray(mat, dtype=float).tolist()]
+    return [[r1 / n2, -r2], [r2 / n2, r1]]
 
 
 def _restricted_signature(sys: ConstraintSystem):
@@ -491,12 +481,11 @@ def _restricted_signature(sys: ConstraintSystem):
     (2, 1) when q*(w) < 0, and is degenerate of signature (1, 1) when
     q*(w) = 0.
     """
-    (d11, d12), (d21, d22) = _exact_rows(sys.D)
-    dual = d11 * d22 - d12 * d21  # q*(w)
+    dual = _det2(sys.exact[2])  # q*(w) = det D
     return (1, 2) if dual > 0 else (2, 1) if dual < 0 else (1, 1)
 
 
-def _nappe_vector(d_block: np.ndarray) -> tuple:
+def _nappe_vector(sys: ConstraintSystem) -> tuple:
     """Rational v = (v11, v12, v21, v22) in ker b' with det v > 0.
 
     The kernel basis pivots on the first nonzero entry w_p of
@@ -506,7 +495,7 @@ def _nappe_vector(d_block: np.ndarray) -> tuple:
     pairs with p set to zero, det v is +-(product of the two remaining free
     coordinates).
     """
-    (d11, d12), (d21, d22) = _exact_rows(d_block)
+    (d11, d12), (d21, d22) = sys.exact[2]
     w = (-d21, d11, -d22, d12)
     p = next(i for i, x in enumerate(w) if x)
     basis = [[Fraction(i == j) - (w[j] / w[p] if i == p else 0) for i in range(4)]
@@ -529,7 +518,7 @@ def _nappe_sign(v: tuple, b_mat: np.ndarray):
     Q^2 >= det v det B / 2, the half absorbing the residual of a verified
     point that lies just off ker b'.
     """
-    (b11, b12), (b21, b22) = _exact_rows(b_mat)
+    (b11, b12), (b21, b22) = ([Fraction(x) for x in row] for row in np.asarray(b_mat).tolist())
     v11, v12, v21, v22 = v
     q = (v11 * b22 + v22 * b11 - v12 * b21 - v21 * b12) / 2
     if q * q < (v11 * v22 - v12 * v21) * (b11 * b22 - b12 * b21) / 2:
@@ -538,73 +527,58 @@ def _nappe_sign(v: tuple, b_mat: np.ndarray):
 
 
 def classify_case(sys: ConstraintSystem) -> CaseInfo:
-    """Leaf of the case tree for a two-dimensional base, with constants."""
+    """Leaf of the case tree for a two-dimensional base, with constants.
+
+    Every branch is decided exactly, on the rationals of the system.
+    """
     if sys.m != 2:
         raise ValueError("case classification requires base eigenspace dimension 2")
-    sc = sys.scale
-    l_zero = all(
-        _near_zero(v, sc) for row in (sys.l_pp, sys.l_pm, sys.l_mp, sys.l_mm) for v in row
-    )
-    d_zero = all(_near_zero(v, sc) for v in sys.D.ravel())
+    ap, am, d_rows, pp, pm, mp, mm = sys.exact
     consts: dict = {"a_plus": sys.a_plus, "a_minus": sys.a_minus}
-    if l_zero:
-        if d_zero:
+
+    def leaf(label, q):  # the constants rounded once, sequences to float arrays
+        consts.update((k, np.array(v, dtype=float) if isinstance(v, (list, tuple)) else float(v))
+                      for k, v in q.items())
+        return CaseInfo(label, consts, exact=q)
+
+    if not any(pp + pm + mp + mm):
+        if not any(d_rows[0] + d_rows[1]):
             return CaseInfo("L0.D0", consts)
         pos, neg = _restricted_signature(sys)
         consts["restricted_signature"] = (pos, neg)
         consts["stratum_components"] = 1 if pos == 2 else 2
         return CaseInfo("L0.Dnz", consts)
-    pp_zero = all(_near_zero(v, sc) for v in sys.l_pp)
-    mp_zero = all(_near_zero(v, sc) for v in sys.l_mp)
-    if pp_zero and mp_zero:
+    if not any(pp + mp):
         return CaseInfo("L.rowszero", consts)
-    if not pp_zero and not mp_zero:
-        rows = np.vstack([sys.l_pp, sys.l_mp])
-        det_rows = _det2(rows)
-        if not _near_zero(det_rows, sc * sc):
-            inv = _inv2(rows)
-            m1 = inv @ np.vstack([-sys.l_mm, np.zeros(2)])
-            m2 = inv @ np.vstack([np.zeros(2), sys.l_pm])
-            alpha = -_det2(np.vstack([sys.l_mm, sys.l_pm])) / det_rows
-            c1 = _bprime(sys.D, m1) - 0.0
-            c0 = sys.a_minus - alpha * sys.a_plus + _bprime(sys.D, m2)
-            consts.update(
-                {"alpha": alpha, "M1": m1, "M2": m2, "c1": c1, "c": c0, "det_rows": det_rows}
-            )
-            return CaseInfo("L.indep", consts)
+    if any(pp) and any(mp):
+        det_rows = _det2((pp, mp))
+        if det_rows:
+            inv = [[mp[1] / det_rows, -pp[1] / det_rows], [-mp[0] / det_rows, pp[0] / det_rows]]
+            m1 = ratl.mat_mul(inv, [[-x for x in mm], [0, 0]])
+            m2 = ratl.mat_mul(inv, [[0, 0], list(pm)])
+            alpha = -_det2((mm, pm)) / det_rows
+            c1 = _qbprime(d_rows, m1)
+            c0 = am - alpha * ap + _qbprime(d_rows, m2)
+            return leaf("L.indep", {"alpha": alpha, "M1": m1, "M2": m2, "c1": c1, "c": c0,
+                                    "det_rows": det_rows})
         # proportional rows: beta with l_pp = beta * l_mp
-        i = int(np.argmax(np.abs(sys.l_mp)))
-        beta = float(sys.l_pp[i] / sys.l_mp[i])
-        consts["beta"] = beta
-        return CaseInfo("L.prop", consts)
-    if mp_zero:
-        t = _wlog_transform(sys.l_pp)
-        consts["transform"] = t
-        lam = sys.l_mm.copy()
-        dp = sys.D @ t
-        l0, l2 = float(lam[1]), float(-lam[0])
-        c1 = float(dp[1, 0] * lam[0] - dp[0, 0] * lam[1])
-        c0, c2 = float(-dp[1, 1]), float(dp[0, 1])
-        a0, a2 = c0 - sys.a_plus * l0, c2 - sys.a_plus * l2
-        consts.update(
-            {"lambda": lam, "l0": l0, "l2": l2, "c0": c0, "c1": c1, "c2": c2, "a0": a0, "a2": a2}
-        )
-        return CaseInfo("L.mpzero", consts)
-    t = _wlog_transform(sys.l_mp)
-    consts["transform"] = t
-    dp = sys.D @ t
-    l1, l2 = float(sys.l_pm[0]), float(sys.l_pm[1])
-    k = float(sys.a_minus + dp[0, 0] * l2 - dp[1, 0] * l1)
-    jac = float(dp[0, 1] * l2 - dp[1, 1] * l1)
-    consts.update({"l1": l1, "l2": l2, "k": k, "jac": jac, "D_t": dp})
-    if _near_zero(jac, sc * sc):
-        if abs(l1) >= abs(l2) and not _near_zero(l1, sc):
-            consts["c"] = float(dp[0, 1] / l1)
-        elif not _near_zero(l2, sc):
-            consts["c"] = float(dp[1, 1] / l2)
-        else:
-            consts["c"] = 0.0
-    return CaseInfo("L.ppzero", consts)
+        return leaf("L.prop", {"beta": pp[0] / mp[0] if mp[0] else pp[1] / mp[1]})
+    if not any(mp):
+        t = _wlog_transform(pp)
+        dp = ratl.mat_mul(d_rows, t)
+        l0, l2 = mm[1], -mm[0]
+        c0, c1, c2 = -dp[1][1], dp[1][0] * mm[0] - dp[0][0] * mm[1], dp[0][1]
+        return leaf("L.mpzero", {"transform": t, "lambda": mm, "l0": l0, "l2": l2, "c0": c0,
+                                 "c1": c1, "c2": c2, "a0": c0 - ap * l0, "a2": c2 - ap * l2})
+    t = _wlog_transform(mp)
+    dp = ratl.mat_mul(d_rows, t)
+    l1, l2 = pm
+    jac = dp[0][1] * l2 - dp[1][1] * l1
+    q = {"transform": t, "l1": l1, "l2": l2, "k": am + dp[0][0] * l2 - dp[1][0] * l1,
+         "jac": jac, "D_t": dp}
+    if not jac:  # then dp[0][1] / l1 = dp[1][1] / l2 wherever defined
+        q["c"] = dp[0][1] / l1 if l1 else dp[1][1] / l2 if l2 else Fraction(0)
+    return leaf("L.ppzero", q)
 
 
 # ---------------------------------------------------------------------------
@@ -615,31 +589,29 @@ def solve_kodaira(sys: ConstraintSystem) -> SolutionSetDescription:
     """Describe the solution family {(b1, b2) > 0} for a 1-dim base.
 
     Kinds: quadrant (no constraints), hyperbola {b1 b2 = kappa}, ray
-    {b1 = s b2}, point, empty.
+    {b1 = s b2}, point, empty.  Every branch is decided exactly.
     """
     if sys.m != 1:
         raise ValueError("this solver requires base eigenspace dimension 1")
-    sc = sys.scale
-    lpp, lpm = float(sys.l_pp[0]), float(sys.l_pm[0])
-    lmp, lmm = float(sys.l_mp[0]), float(sys.l_mm[0])
-    consts = {"l_pp": lpp, "l_pm": lpm, "l_mp": lmp, "l_mm": lmm}
+    _, _, _, (lpp,), (lpm,), (lmp,), (lmm,) = sys.exact
+    consts = {"l_pp": float(lpp), "l_pm": float(lpm), "l_mp": float(lmp), "l_mm": float(lmm)}
     label = "kodaira"
 
     def desc(kind, dim, draw, extra=None, chart=None):
         return _nonempty(sys, label, kind, dim, False, {**consts, **(extra or {})}, draw, (), chart)
 
-    if _near_zero(lmm, sc):
-        if not _near_zero(lpp, sc):
+    if not lmm:
+        if lpp:
             return _empty(sys, label, consts, ["first equation forces b2 = 0"])
-        if _near_zero(lmp, sc):
-            if _near_zero(lpm, sc):
+        if not lmp:
+            if not lpm:
                 return desc(
                     "quadrant", 2, lambda rng: (rng.uniform(0.05, _BOX), [[rng.uniform(0.05, _BOX)]])
                 )
             return _empty(sys, label, consts, ["second equation forces 1/b2 = 0"])
-        kappa = lpm / lmp
-        if kappa <= 0 or _near_zero(kappa, sc):
+        if lpm / lmp <= 0:
             return _empty(sys, label, consts, ["required product b1 b2 is not positive"])
+        kappa = float(lpm / lmp)
         # b1 = kappa / b2 and b2 share the box only while kappa <= _BOX^2
         box = _BOX if kappa <= _BOX * _BOX else 2.0 * math.sqrt(kappa)
 
@@ -648,19 +620,18 @@ def solve_kodaira(sys: ConstraintSystem) -> SolutionSetDescription:
 
         return desc("hyperbola", 1, lambda rng: point(rng.uniform(max(0.05, kappa / box), box)),
                     {"kappa": kappa}, (point, lambda x: x[1]))
-    if lpp * lmm >= 0 or _near_zero(lpp, sc):
+    if lpp * lmm >= 0:
         return _empty(sys, label, consts, ["no positive b1 satisfies the first equation"])
-    slope = -lpp / lmm
-    prod_p = lpp * lmp
-    prod_q = lpm * lmm
-    if _near_zero(prod_p, sc * sc) and _near_zero(prod_q, sc * sc):
+    slope = float(-lpp / lmm)
+    prod_p, prod_q = lpp * lmp, lpm * lmm
+    if not prod_p and not prod_q:
 
         def draw_ray(rng):
             b2 = rng.uniform(0.05, _BOX)
             return slope * b2, [[b2]]
 
         return desc("ray", 1, draw_ray, {"slope": slope})
-    if prod_p * prod_q < 0 and not _near_zero(prod_p, sc * sc) and not _near_zero(prod_q, sc * sc):
+    if prod_p * prod_q < 0:
         b2 = math.sqrt(-prod_q / prod_p)
         return desc("point", 0, lambda rng: (slope * b2, [[b2]]), {"b2": b2, "slope": slope})
     return _empty(sys, label, consts, ["the eliminated equation has no positive root"])
@@ -748,24 +719,56 @@ def _interval_band_draw(chart, interval, level):
     return draw
 
 
+def _chart_system(sys: ConstraintSystem):
+    """(sys, ()) when its entries are of a moderate size, else (copy, note).
+
+    The copy has the l-rows times one power of 2^8 and (a_plus, a_minus, D)
+    times another, which bring the largest entries to about [1/16, 16).
+    Neither moves the solution set, but the charts' boxes and margins are
+    absolute: at entries of 1e-11 they would miss the family.
+    """
+
+    def power(entries):  # the multiple of 8 nearest to log2 of the largest entry
+        return (math.frexp(max(map(abs, entries)))[1] + 3) // 8 * 8
+
+    ap, am, d_rows, *rows = sys.exact
+    ea, el = power([ap, am, *d_rows[0], *d_rows[1]]), power([x for row in rows for x in row])
+    if not ea and not el:
+        return sys, ()
+    fa, fl = Fraction(2) ** -ea, Fraction(2) ** -el
+    cs = ConstraintSystem.from_blocks(
+        2, ap * fa, am * fa, [[x * fa for x in row] for row in d_rows],
+        *([x * fl for x in row] for row in rows))
+    return cs, (f"chart constants are those of the system with its l-rows times 2^{-el} "
+                f"and a_plus, a_minus, D times 2^{-ea}",)
+
+
 def solve_threefold(sys: ConstraintSystem) -> SolutionSetDescription:
-    """Describe the solution family {(b, B)} for a 2-dim base, d = 1."""
+    """Describe the solution family {(b, B)} for a 2-dim base, d = 1.
+
+    Every branch is decided exactly; the floats of the constants only build
+    the charts and the draws.
+    """
     if sys.m != 2:
         raise ValueError("this solver requires base eigenspace dimension 2")
-    info = classify_case(sys)
-    label, c = info.label, dict(info.constants)
-    a_p, a_m = sys.a_plus, sys.a_minus
-    sc = sys.scale
+    cs, scaled = _chart_system(sys)
+    info = classify_case(cs)
+    label, c, e = info.label, dict(info.constants), info.exact
+    ap, am, d_rows, _, pm, mp, mm = cs.exact
+    a_p, a_m = cs.a_plus, cs.a_minus
 
     def desc(kind, dim, b_free, draw, notes=(), chart=None):
-        return _nonempty(sys, label, kind, dim, b_free, c, draw, notes, chart)
+        return _nonempty(sys, label, kind, dim, b_free, c, draw, (*notes, *scaled), chart)
+
+    def empty(why):
+        return _empty(sys, label, c, [why, *scaled])
 
     def draw_b(rng):
         return rng.uniform(0.05, _BOX)
 
     if label == "L0.D0":
-        if a_p == 0:
-            if a_m == 0:
+        if not ap:
+            if not am:
 
                 def draw_region(rng):
                     b_mat = rng.uniform(-_BOX, _BOX, (2, 2))
@@ -774,11 +777,10 @@ def solve_threefold(sys: ConstraintSystem) -> SolutionSetDescription:
                     return draw_b(rng), b_mat
 
                 return desc("region", 4, True, draw_region)
-            return _empty(sys, label, c, ["det-free equation a_minus = 0 fails"])
-        a = a_m / a_p
-        c["a"] = a
-        if a <= 0 or _near_zero(a, sc):
-            return _empty(sys, label, c, ["required determinant a_minus/a_plus is not positive"])
+            return empty("det-free equation a_minus = 0 fails")
+        a = c["a"] = float(am / ap)
+        if am / ap <= 0:
+            return empty("required determinant a_minus/a_plus is not positive")
 
         def draw_quadric(rng):
             b_mat = rng.uniform(-_BOX, _BOX, (2, 2))
@@ -790,8 +792,8 @@ def solve_threefold(sys: ConstraintSystem) -> SolutionSetDescription:
         return desc("quadric", 3, True, draw_quadric)
 
     if label == "L0.Dnz":
-        if a_p == 0 and a_m == 0:
-            kern = _bprime_kernel(sys.D)
+        if not ap and not am:
+            kern = _bprime_kernel(cs.D)
 
             def draw_stratum(rng):
                 v = kern @ rng.uniform(-_BOX, _BOX, 3)
@@ -802,7 +804,7 @@ def solve_threefold(sys: ConstraintSystem) -> SolutionSetDescription:
 
             notes = []
             if c["stratum_components"] == 2:
-                c["nappe_vector"] = _nappe_vector(sys.D)
+                c["nappe_vector"] = _nappe_vector(cs)
                 notes.append(
                     "degenerate stratum family: expected two connected components"
                 )
@@ -811,7 +813,7 @@ def solve_threefold(sys: ConstraintSystem) -> SolutionSetDescription:
         def draw_graph(rng):
             b_mat = rng.uniform(-_BOX, _BOX, (2, 2))
             det = _det2(b_mat)
-            bp = _bprime(sys.D, b_mat)
+            bp = _bprime(cs.D, b_mat)
             if det <= REGION_TOL or abs(bp) < 1e-8:
                 return None
             b = (a_p * det - a_m) / bp
@@ -822,114 +824,104 @@ def solve_threefold(sys: ConstraintSystem) -> SolutionSetDescription:
         return desc("hypersurface", 3, True, draw_graph)
 
     if label == "L.rowszero":
-        return _empty(sys, label, c, ["both equations force the nonzero mixed rows to vanish"])
+        return empty("both equations force the nonzero mixed rows to vanish")
 
     if label == "L.indep":
-        alpha, m1, m2, c1, c0 = c["alpha"], c["M1"], c["M2"], c["c1"], c["c"]
-        if alpha <= 0 or _near_zero(alpha, sc):
-            return _empty(sys, label, c, ["forced determinant alpha is not positive"])
-        if _near_zero(c1, sc * sc):
-            if _near_zero(c0, sc * sc):
+        m1, m2 = c["M1"], c["M2"]
+        if e["alpha"] <= 0:
+            return empty("forced determinant alpha is not positive")
+        if not e["c1"]:
+            if not e["c"]:
 
                 def point(b):
                     return b, m1 * b + m2 / b
 
                 chart = (point, lambda x: x[0])
                 return desc("curve", 0, True, lambda rng: point(draw_b(rng)), (), chart)
-            return _empty(sys, label, c, ["constant equation c = 0 fails"])
-        bsq = -c0 / c1
-        if bsq <= 0:
-            return _empty(sys, label, c, ["quadratic c1 b^2 + c = 0 has no positive root"])
-        bhat = math.sqrt(bsq)
-        c["bhat"] = bhat
+            return empty("constant equation c = 0 fails")
+        if -e["c"] / e["c1"] <= 0:
+            return empty("quadratic c1 b^2 + c = 0 has no positive root")
+        bhat = c["bhat"] = math.sqrt(-e["c"] / e["c1"])
         return desc("point", 0, False, lambda rng: (bhat, m1 * bhat + m2 / bhat))
 
     if label == "L.prop":
-        beta = c["beta"]
-        lmm_all = all(_near_zero(v, sc) for v in sys.l_mm)
-        if lmm_all:
-            return _empty(
-                sys,
-                label,
-                c,
-                ["proportional rows squeeze B to a singular matrix" if all(
-                    _near_zero(v, sc) for v in sys.l_pm
-                ) else "second equation is inconsistent"],
-            )
-        i = int(np.argmax(np.abs(sys.l_mm)))
-        bsq = -beta * sys.l_pm[i] / sys.l_mm[i]
-        if bsq <= 0 or np.abs(bsq * sys.l_mm + beta * sys.l_pm).max() > 1e-8 * sc:
-            return _empty(sys, label, c, ["the two vector equations admit no common b"])
-        bhat = math.sqrt(float(bsq))
-        c["bhat"] = bhat
-        # affine chart: rows of B with l_mp @ B = l_pm / bhat
-        base_row = sys.l_mp / float(sys.l_mp @ sys.l_mp)
-        b0 = np.outer(base_row, sys.l_pm) / bhat
-        normal = _complement_row(sys.l_mp)
-        # det(B0 + normal s^T) = det B0 + s . adj(B0) normal, linear in s
-        adj = np.array([[b0[1, 1], -b0[0, 1]], [-b0[1, 0], b0[0, 0]]])
-        det_lin = adj @ normal
-        det_const = _det2(b0)
-        dn = sys.D @ normal
-        bp_lin = np.array([-dn[1], dn[0]])  # b'(B0 + n s^T) = bp_const + bp_lin . s
-        bp_const = _bprime(sys.D, b0)
-        eq_lin = -a_p * det_lin + bhat * bp_lin
-        eq_const = a_m - a_p * det_const + bhat * bp_const
-        c["eq_lin"] = eq_lin
-        c["eq_const"] = eq_const
-        if _near_zero(np.abs(eq_lin).max(), sc * sc):
-            if not _near_zero(eq_const, sc * sc):
-                return _empty(sys, label, c, ["determinant equation fails identically"])
+        beta = e["beta"]
+        if not any(mm):
+            return empty("second equation is inconsistent" if any(pm) else
+                         "proportional rows squeeze B to a singular matrix")
+        i = 0 if mm[0] else 1
+        bsq = -beta * pm[i] / mm[i]
+        if bsq <= 0 or any(bsq * x + beta * y for x, y in zip(mm, pm)):
+            return empty("the two vector equations admit no common b")
+        bhat = c["bhat"] = math.sqrt(bsq)
+        # affine chart B = B0 + normal s^T on {l_mp @ B = l_pm / bhat}, with
+        # B0 = R / bhat of rank one, R = l_mp l_pm^T / |l_mp|^2; along it
+        # det B = det_lin . s, linear, and b'(B) = b'(B0) + bp_lin . s
+        n2 = mp[0] * mp[0] + mp[1] * mp[1]
+        r = [[x * y / n2 for y in pm] for x in mp]
+        normal = (-mp[1], mp[0])
+        det_lin_r = ratl.mat_vec([[r[1][1], -r[0][1]], [-r[1][0], r[0][0]]], normal)
+        dn = ratl.mat_vec(d_rows, normal)
+        # eq_lin = -a_plus det_lin + bhat bp_lin carries bhat: test bhat eq_lin
+        e_lin = [bsq * y - ap * x for x, y in zip(det_lin_r, (-dn[1], dn[0]))]
+        eq_const = am + _qbprime(d_rows, r)
+        b0 = np.array(r, dtype=float) / bhat
+        normal = np.array(normal, dtype=float)
+        det_lin = np.array(det_lin_r, dtype=float) / bhat
+        eq_lin = c["eq_lin"] = np.array(e_lin, dtype=float) / bhat
+        c["eq_const"] = float(eq_const)
+        if not any(e_lin):
+            if eq_const:
+                return empty("determinant equation fails identically")
 
             def draw_halfplane(rng):
                 s = rng.uniform(-_BOX, _BOX, 2)
-                if det_const + float(det_lin @ s) <= REGION_TOL:
+                if float(det_lin @ s) <= REGION_TOL:
                     return None
                 return bhat, b0 + np.outer(normal, s)
 
             return desc("halfplane", 2, False, draw_halfplane)
+        # the line eq_lin . s = -eq_const through s_part, along direction
+        e_sq = e_lin[0] * e_lin[0] + e_lin[1] * e_lin[1]
+        g0 = -eq_const * (det_lin_r[0] * e_lin[0] + det_lin_r[1] * e_lin[1]) / e_sq
+        g1 = det_lin_r[1] * e_lin[0] - det_lin_r[0] * e_lin[1]  # bsq g1, rational
         direction = _complement_row(eq_lin)
-        s_part = -eq_const * eq_lin / float(eq_lin @ eq_lin)
-        g0 = det_const + float(det_lin @ s_part)
-        g1 = float(det_lin @ direction)
-        if _near_zero(g1, sc * sc):
-            if g0 <= REGION_TOL:
-                return _empty(sys, label, c, ["solution line misses the positive-determinant side"])
+        s_part = np.array([-eq_const * x / e_sq for x in e_lin], dtype=float) * bhat
+        if not g1:
+            if g0 <= 0:
+                return empty("solution line misses the positive-determinant side")
 
             def draw_line(rng):
                 s = s_part + rng.uniform(-_BOX, _BOX) * direction
                 return bhat, b0 + np.outer(normal, s)
 
             return desc("half-line", 1, False, draw_line)
+        t0, side = float(-g0 * bsq / g1), 1.0 if g1 > 0 else -1.0
 
         def draw_halfline(rng):
-            t0 = -g0 / g1
-            t = t0 + (0.01 + rng.uniform(0.0, _BOX)) * (1.0 if g1 > 0 else -1.0)
+            t = t0 + (0.01 + rng.uniform(0.0, _BOX)) * side
             s = s_part + t * direction
             return bhat, b0 + np.outer(normal, s)
 
         return desc("half-line", 1, False, draw_halfline)
 
     if label == "L.mpzero":
-        if not all(_near_zero(v, sc) for v in sys.l_pm):
-            return _empty(sys, label, c, ["second equation forces the +- row to vanish"])
-        if all(_near_zero(v, sc) for v in sys.l_mm):
-            return _empty(sys, label, c, ["first equation squeezes B to a singular matrix"])
-        t = c["transform"]
-        l0, l2, c1 = c["l0"], c["l2"], c["c1"]
-        a0, a2 = c["a0"], c["a2"]
-        lam = c["lambda"]
+        if any(pm):
+            return empty("second equation forces the +- row to vanish")
+        if not any(mm):
+            return empty("first equation squeezes B to a singular matrix")
+        t, lam, c1 = c["transform"], c["lambda"], c["c1"]
 
         def assemble(b, b21, b22):
             bw = np.array([[-b * lam[0], -b * lam[1]], [b21, b22]])
             return b, t @ bw
 
-        rho_row = np.array([l0, l2])
-        tau_row = np.array([a0, a2])
-        jac = _det2(np.vstack([tau_row, rho_row]))
-        c["tau_rho_det"] = jac
-        t_inv = _inv2(t)
-        if not _near_zero(jac, sc * sc):
+        rho_row = np.array([c["l0"], c["l2"]])
+        tau_row = np.array([c["a0"], c["a2"]])
+        jac = e["a0"] * e["l2"] - e["a2"] * e["l0"]
+        c["tau_rho_det"] = float(jac)
+        t_inv = np.array(ratl.inverse(e["transform"]), dtype=float)
+        if jac:
             # chart (b, rho) on the quadrant b, rho > 0, where det B = b rho
             def point(p):
                 b, rho = p
@@ -944,26 +936,22 @@ def solve_threefold(sys: ConstraintSystem) -> SolutionSetDescription:
                 return point((draw_b(rng), rng.uniform(0.05, _BOX)))
 
             return desc("quadrant", 1, True, draw, (), (point, params))
-        if _near_zero(np.abs(tau_row).max(), sc):
-            if _near_zero(c1, sc * sc):
-                if a_m == 0:
+        if not e["a0"] and not e["a2"]:
+            if not e["c1"]:
+                if not am:
                     return desc("halfplane", 2, True, _halfplane_draw(assemble, rho_row, draw_b))
-                return _empty(sys, label, c, ["constant equation a_minus = 0 fails"])
-            bsq = -a_m / c1
-            if bsq <= 0:
-                return _empty(sys, label, c, ["quadratic a_minus + c1 b^2 = 0 has no positive root"])
-            bhat = math.sqrt(bsq)
-            c["bhat"] = bhat
+                return empty("constant equation a_minus = 0 fails")
+            if -am / e["c1"] <= 0:
+                return empty("quadratic a_minus + c1 b^2 = 0 has no positive root")
+            bhat = c["bhat"] = math.sqrt(-am / e["c1"])
             draw_plane = _halfplane_draw(assemble, rho_row, lambda rng: bhat)
             return desc("halfplane", 2, False, draw_plane)
         # tau = cf * rho with cf != 0
-        i = int(np.argmax(np.abs(rho_row)))
-        cf = float(tau_row[i] / rho_row[i])
-        c["tau_over_rho"] = cf
-        interval = _interval_of_sign(c1, -a_m, -1 if cf > 0 else 1)
-        c["b_interval"] = interval
+        cq = e["a0"] / e["l0"] if e["l0"] else e["a2"] / e["l2"]
+        cf = c["tau_over_rho"] = float(cq)
+        interval = c["b_interval"] = _interval_of_sign(e["c1"], -am, -1 if cq > 0 else 1)
         if interval is None:
-            return _empty(sys, label, c, ["no b > 0 gives the forced rho a positive sign"])
+            return empty("no b > 0 gives the forced rho a positive sign")
 
         def band_rho(b):
             return -(a_m + b * b * c1) / (b * cf)
@@ -973,12 +961,11 @@ def solve_threefold(sys: ConstraintSystem) -> SolutionSetDescription:
         return desc("interval-band", 1, True, draw, (), chart)
 
     # label == "L.ppzero"
-    if not all(_near_zero(v, sc) for v in sys.l_mm):
-        return _empty(sys, label, c, ["first equation forces the -- row to vanish"])
-    if all(_near_zero(v, sc) for v in sys.l_pm):
-        return _empty(sys, label, c, ["second equation squeezes B to a singular matrix"])
-    t = c["transform"]
-    t_inv = _inv2(t)
+    if any(mm):
+        return empty("first equation forces the -- row to vanish")
+    if not any(pm):
+        return empty("second equation squeezes B to a singular matrix")
+    t, t_inv = c["transform"], np.array(ratl.inverse(e["transform"]), dtype=float)
     l1, l2, k, jac = c["l1"], c["l2"], c["k"], c["jac"]
     dp = c["D_t"]
 
@@ -987,7 +974,7 @@ def solve_threefold(sys: ConstraintSystem) -> SolutionSetDescription:
         return b, t @ bw
 
     x_row = np.array([-l2, l1])  # x = l1 b22 - l2 b21 as a row on (b21, b22), det B = x / b
-    if not _near_zero(jac, sc * sc):
+    if e["jac"]:
         # chart (b, x) on the quadrant b, x > 0
         def point(p):
             b, x = p
@@ -1006,33 +993,30 @@ def solve_threefold(sys: ConstraintSystem) -> SolutionSetDescription:
             return point((draw_b(rng), rng.uniform(0.05, _BOX)))
 
         return desc("quadrant", 1, True, draw, (), (point, params))
-    cf = c["c"]
-    if _near_zero(k, sc):
+    cf, cq, kq = c["c"], e["c"], e["k"]
+    if not kq:
         # chart (b, s) on {b > 0, x > 0}, or on its slice b = bhat
         plane = (lambda p: assemble_pp(p[0], p[1], p[2]),
                  lambda x: np.concatenate(([x[0]], _chart_row(t_inv, x))))
-        if _near_zero(cf, sc):
-            if a_p == 0:
+        if not cq:
+            if not ap:
                 draw_plane = _halfplane_draw(assemble_pp, x_row, draw_b)
                 return desc("halfplane", 2, True, draw_plane, (), plane)
-            return _empty(sys, label, c, ["equation c b^2 = a_plus has no root with c = 0"])
-        bsq = a_p / cf
-        if bsq <= 0:
-            return _empty(sys, label, c, ["equation c b^2 = a_plus has no positive root"])
-        bhat = math.sqrt(bsq)
-        c["bhat"] = bhat
+            return empty("equation c b^2 = a_plus has no root with c = 0")
+        if ap / cq <= 0:
+            return empty("equation c b^2 = a_plus has no positive root")
+        bhat = c["bhat"] = math.sqrt(ap / cq)
         draw_plane = _halfplane_draw(assemble_pp, x_row, lambda rng: bhat)
         return desc("halfplane", 2, False, draw_plane, (), plane)
-    if _near_zero(cf, sc):
-        if a_p == 0 or k / a_p <= 0:
-            return _empty(sys, label, c, ["forced x = b k / a_plus is not positive"])
+    if not cq:
+        if not ap or kq / ap <= 0:
+            return empty("forced x = b k / a_plus is not positive")
         chart = _band_chart(assemble_pp, x_row, lambda b: b * k / a_p, t_inv)
         return desc("band", 1, True, lambda rng: chart[0]((draw_b(rng), rng.uniform(-_BOX, _BOX))),
                     (), chart)
-    interval = _interval_of_sign(cf, a_p, -1 if k > 0 else 1)
-    c["b_interval"] = interval
+    interval = c["b_interval"] = _interval_of_sign(cq, ap, -1 if kq > 0 else 1)
     if interval is None:
-        return _empty(sys, label, c, ["no b > 0 makes the forced x positive"])
+        return empty("no b > 0 makes the forced x positive")
 
     def band_x(b):
         return -b * k / (cf * b * b - a_p)
@@ -1386,11 +1370,9 @@ def _route(sys: ConstraintSystem, desc: SolutionSetDescription, xp, xq, verdicts
         row = _bprime_row(sys.D)
         sp = float(row @ sys.unpack(xp)[1].ravel())
         sq = float(row @ sys.unpack(xq)[1].ravel())
-        tol = 1e-9 * sys.scale
         graph_leg = checker(lambda x0, x1: _graph_leg(sys, x0, x1))
-        if abs(sp) <= tol or abs(sq) <= tol or sp * sq > 0:
-            side = sp if abs(sp) > tol else sq
-            return _bend_route(graph_leg, xp, xq, _family_mids(sys, desc, sign=side))
+        if sp * sq >= 0:  # one side of b' = 0, the side of an end where b' is not 0
+            return _bend_route(graph_leg, xp, xq, _family_mids(sys, desc, sign=sp or sq))
         # opposite signs of b': route through a stratum point where the
         # graph value of b extends continuously to a positive limit
         mids_p = _family_mids(sys, desc, sign=sp)

@@ -294,7 +294,8 @@ def test_input_errors_exit_2(tmp_path, capsys):
 
 def test_bad_numbers_exit_2(tmp_path, capsys):
     # each of these used to escape as a traceback with exit status 1
-    for key, value in (("l_pp", ["one", 0]), ("a_plus", "nan"), ("a_minus", float("inf"))):
+    for key, value in (("l_pp", ["one", 0]), ("a_plus", "nan"), ("a_minus", float("inf")),
+                       ("l_mm", [True, 0]), ("D", [[0, "1/0"], [0, 0]])):
         doc = json.loads(json.dumps(QUADRIC_SYS))
         doc["system"][key] = value
         rc, _, err = run(tmp_path, capsys, "certify", doc, "--samples", "2")
@@ -515,8 +516,11 @@ def _kod_with(components=KOD["components"], **real_structure):
         ({**KOD, "J2": [[0, -(10**400)], [1, 0]]}, ("check-real", "decompose")),
         ({**KOD, "system": {**QUADRIC_SYS["system"], "a_plus": 10**400}},
          ("solve", "sample", "certify")),
+        # a_minus / a_plus = 10**400, the determinant of every solution
+        ({**KOD, "system": {**QUADRIC_SYS["system"], "a_plus": "1/1" + "0" * 400}},
+         ("solve", "sample", "certify")),
     ],
-    ids=["components", "d1", "L", "J2", "system"],
+    ids=["components", "d1", "L", "J2", "system", "system-quotient"],
 )
 def test_entries_beyond_float_range_exit_2(tmp_path, capsys, doc, readers):
     # these used to escape as an OverflowError with exit 3
@@ -630,3 +634,48 @@ def test_reports_render_as_their_walked_conversion(command, doc, flags):
     walked = _jsonable(report)
     assert cli.render(report, "machine") == json.dumps(walked, sort_keys=True, indent=2) + "\n"
     assert cli.render(report, "human") == "\n".join(cli._human_lines(walked)) + "\n"
+
+
+@pytest.mark.parametrize("system, flags", [
+    ({"m": 2, "a_plus": 0, "a_minus": 0, "D": [[2.19, 0], [0, -1e4]], "l_pp": [1e-6, 0],
+      "l_pm": [0, 0], "l_mp": [0, 0], "l_mm": [0, 0]}, ("--samples", "6", "--seed", "570")),
+    ({"m": 2, "a_plus": 0, "a_minus": 2.635, "D": [[0, 1e4], [1e-6, 0]], "l_pp": [0, 3],
+      "l_pm": [0, 0], "l_mp": [0, 0], "l_mm": [2.335, 0]}, ("--seed", "633")),
+], ids=["forms-disagree", "band-division"])
+def test_mixed_scale_systems_exit_0_or_1(tmp_path, capsys, system, flags):
+    # bugs fixed: a tolerance relative to the largest entry, 1e4, called 1e-6
+    # zero while the residuals and draws did not, and these exited 3 with
+    # "antiholomorphy forms disagree" and a ZeroDivisionError
+    rc, out, err = run(tmp_path, capsys, "certify", {"system": system}, *flags,
+                       "--format", "machine")
+    assert rc in (0, 1) and err == ""
+    assert json.loads(out)["certificate"]["case"] == "L.mpzero"
+
+
+def test_system_entries_read_as_rationals(tmp_path, capsys):
+    # 'p/q' strings as in a real_structure block, and 0.1, 0.3 as 1/10, 3/10
+    system = {"m": 2, "a_plus": 1, "a_minus": 1, "D": [[0, 0], [0, 0]], "l_pp": [0.1, 0.3],
+              "l_pm": [1, 3], "l_mp": [1, 3], "l_mm": [-0.1, -0.3]}
+    strings = {**system, "l_pp": ["1/10", "3/10"], "l_mm": ["-1/10", "-3/10"]}
+    outs = [run(tmp_path, capsys, "solve", {"system": s}, "--format", "machine")
+            for s in (system, strings)]
+    assert outs[0] == outs[1] and outs[0][0] == 0
+    desc = json.loads(outs[0][1])["description"]
+    assert (desc["case"], desc["kind"]) == ("L.prop", "half-line")
+
+
+def test_long_exponent_string_exit_2(tmp_path, capsys):
+    # Fraction("1e10000000") alone takes seconds; "1e5000" is fast but
+    # exceeds the 4300-digit limit all the same
+    rc, _, err = run(tmp_path, capsys, "reconstruct", _kod_with(d1=["1e5000", 0]))
+    assert rc == 2 and "larger exponent" in err
+    rc, _, err = run(tmp_path, capsys, "solve",
+                     {"system": {**QUADRIC_SYS["system"], "a_plus": "1e5000"}})
+    assert rc == 2 and "invalid system block" in err
+
+
+def test_human_format_prints_null(tmp_path, capsys):
+    rc, out, _ = run(tmp_path, capsys, "check-real", KOD)
+    assert rc == 0
+    assert "failing_pair: null" in out and "failing_generator: null" in out
+    assert "None" not in out

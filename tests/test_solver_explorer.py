@@ -196,7 +196,7 @@ def test_quadric_family():
 
 
 def test_quadric_with_small_a_plus():
-    # a_plus = 1 is below ZERO_TOL times the scale 1e10, but it is not zero
+    # a_plus = 1 is tiny against a_minus = 1e10, but it is not zero
     desc = solve(three(1.0, 1e10, np.zeros((2, 2)), ZL, ZL, ZL, ZL))
     assert desc.kind == "quadric"
     check_witnesses(desc)
@@ -242,9 +242,9 @@ def test_restricted_signature_exact_and_float_agree():
         if not any(entries):
             continue
         d_block = np.array(entries, dtype=float).reshape(2, 2)
-        sig = se._restricted_signature(three(0.0, 0.0, d_block, ZL, ZL, ZL, ZL))
-        assert sig == float_restricted_signature(d_block), entries
-        v11, v12, v21, v22 = se._nappe_vector(d_block)
+        sys = three(0.0, 0.0, d_block, ZL, ZL, ZL, ZL)
+        assert se._restricted_signature(sys) == float_restricted_signature(d_block), entries
+        v11, v12, v21, v22 = se._nappe_vector(sys)
         d11, d12, d21, d22 = entries
         assert -d21 * v11 + d11 * v12 - d22 * v21 + d12 * v22 == 0
         assert v11 * v22 - v12 * v21 > 0
@@ -339,6 +339,87 @@ def test_case_constants_exposed():
     assert info.constants["beta"] == pytest.approx(2.0)
 
 
+def test_decimal_proportional_rows_stay_prop():
+    # 0.1 and 0.3 are read as 1/10 and 3/10, so det_rows is exactly 0; on
+    # their binary fractions it is 2^-55, an L.indep family of entries near
+    # 1e16 with no verifiable witness
+    desc = solve(three(1.0, 1.0, np.zeros((2, 2)), [0.1, 0.3], [1, 3], [1, 3], [-0.1, -0.3]))
+    assert (desc.case_label, desc.kind) == ("L.prop", "half-line")
+    assert len(desc.witnesses) == 3
+    check_witnesses(desc)
+
+
+def _seeded_systems(seed, count=300):
+    """Integer systems in [-3, 3], one per (m, label, kind) a seeded search meets.
+
+    A drawn zero pattern of the rows brings up every label, and half of the
+    systems are planted on the solution b = 1 and an integer B with det B > 0.
+    """
+    rng = np.random.default_rng(seed)
+    found = {}
+    for _ in range(count):
+        m = int(rng.integers(1, 3))
+
+        def ints(*shape):
+            return (rng.integers(-3, 4, size=shape) * (rng.random(shape) < 0.8)).astype(object)
+
+        a_plus, a_minus = ints(2) if m == 2 else (0, 0)
+        d_block = ints(m, m)
+        l_pp, l_pm, l_mp, l_mm = ints(4, m)
+        pattern = rng.integers(0, 5)
+        if pattern == 1:
+            l_mp = 0 * l_mp
+        elif pattern == 2:
+            l_pp = 0 * l_pp
+        elif pattern == 3:
+            l_pp = rng.integers(-2, 3) * l_mp
+        elif pattern == 4:
+            l_pp, l_mp = 0 * l_pp, 0 * l_mp
+            if rng.random() < 0.5:
+                l_pm, l_mm = 0 * l_pm, 0 * l_mm
+                d_block = d_block * (rng.random() < 0.5)
+        b_mat = rng.integers(-2, 3, size=(m, m)).astype(object)
+        if pattern != 4 and rng.random() < 0.5 and np.linalg.det(b_mat.astype(float)) > 0.5:
+            l_mm, l_pm = -l_pp @ b_mat, l_mp @ b_mat
+            if m == 2:
+                (b11, b12), (b21, b22) = b_mat
+                (d11, d12), (d21, d22) = d_block
+                bprime = d11 * b12 + d12 * b22 - d21 * b11 - d22 * b21
+                a_minus = a_plus * (b11 * b22 - b12 * b21) - bprime
+        rows = (r.tolist() for r in (l_pp, l_pm, l_mp, l_mm))
+        blocks = (m, a_plus, a_minus, d_block.tolist(), *rows)
+        desc = solve(ConstraintSystem.from_blocks(*blocks))
+        found.setdefault((m, desc.case_label, desc.kind), blocks)
+    return found
+
+
+def _scaled(blocks, j, k):
+    """The system with its l-rows times 10^j and (a_plus, a_minus, D) times 10^k."""
+    m, a_plus, a_minus, d_block, *rows = blocks
+    rf, af = Fraction(10) ** j, Fraction(10) ** k
+    return ConstraintSystem.from_blocks(m, a_plus * af, a_minus * af,
+                                        [[x * af for x in row] for row in d_block],
+                                        *([x * rf for x in row] for row in rows))
+
+
+def test_case_tree_is_scale_invariant():
+    # both scalings leave the solution set as it is; a tolerance relative
+    # to the largest entry moved an integer L.indep system to L0.Dnz at
+    # j = -11 and to L.prop at j = k = -6
+    found = _seeded_systems(11)
+    assert {label for m, label, _ in found if m == 2} == {
+        "L0.D0", "L0.Dnz", "L.rowszero", "L.indep", "L.prop", "L.mpzero", "L.ppzero"}
+    assert {kind for m, _, kind in found if m == 1} == {
+        "quadrant", "hyperbola", "ray", "point", "empty"}
+    for (m, label, kind), blocks in found.items():
+        for j, k in itertools.product((0, -6, -11), repeat=2):
+            desc = solve(_scaled(blocks, j, k))
+            assert (desc.case_label, desc.kind) == (label, kind), (blocks, j, k)
+            assert desc.is_empty == (kind == "empty")
+            if not desc.is_empty:
+                check_witnesses(desc)
+
+
 # ---------------------------------------------------------------------------
 # vertex residuals
 
@@ -378,7 +459,9 @@ def test_residual_pair_matches_block_operator_oracle():
             want = (antiholomorphy_residual(sys.split, cs), rbr2_residual(sys.split, cs))
             inv = np.linalg.inv(b_mat)
             size = max(1.0, np.abs(b_mat).sum(1).max(), np.abs(inv).sum(1).max())
-            scale = sys.scale * max(1.0, abs(b), 1.0 / abs(b)) * size ** 2
+            blocks = np.concatenate([[sys.a_plus, sys.a_minus], sys.D.ravel(),
+                                     sys.l_pp, sys.l_pm, sys.l_mp, sys.l_mm])
+            scale = max(1.0, np.abs(blocks).max()) * max(1.0, abs(b), 1.0 / abs(b)) * size ** 2
             for g, w in zip(got, want):
                 assert abs(g - w) <= 1e-12 * (1.0 + scale), (sys, b, b_mat)
             for tol in (PATH_TOL, WITNESS_TOL):

@@ -5,14 +5,17 @@
 SEEDS is a list such as 1,2,3 or a range such as 1-3.  The pools are
 those of bench/run.py, built by its build_pool for the run length
 `run_seconds` of BENCHMARK.json, and each op runs once through its run_op.
-A line holds the seed, the op index, the class, the exit code and three
+A line holds the seed, the op index, the class, the exit code and four
 sha256 digests:
 
 * for a command, of its stdout and of its stderr with --format machine,
-  and of its stdout when run again with --format human;
+  of its stdout when run again with --format human, and a verdict digest:
+  of the exit code and the machine report with every float dropped, so
+  labels, kinds, counts and strings stay and witnesses may move;
 * for an eigensplit op, of every field of the returned EigenSplit (an
-  array by its bytes, dtype, shape, strides and flags), "-" and "-";
-* for an op that raised, of the exception's type and message, "-" and "-".
+  array by its bytes, dtype, shape, strides and flags), "-", "-" and "-";
+* for an op that raised, of the exception's type and message, "-", "-"
+  and "-".
 
 The script reads the package and the benchmark of the checkout it sits
 in.  To compare two checkouts, run each checkout's copy and diff the two
@@ -57,8 +60,17 @@ def _field_parts(name, value):
     return [name, value]
 
 
+def without_floats(value):
+    """A JSON value with every float dropped from its objects and arrays."""
+    if isinstance(value, dict):
+        return {k: without_floats(v) for k, v in value.items() if not isinstance(v, float)}
+    if isinstance(value, list):
+        return [without_floats(v) for v in value if not isinstance(v, float)]
+    return value
+
+
 def fingerprint(op, main):
-    """(exit code, three digests) of one run of op."""
+    """(exit code, four digests) of one run of op."""
     errs = []
 
     def capturing_main(argv):
@@ -71,13 +83,14 @@ def fingerprint(op, main):
 
     rc, out = run.run_op(op, capturing_main)
     if isinstance(out, BaseException):
-        return rc, digest([type(out).__name__, str(out)]), "-", "-"
+        return rc, digest([type(out).__name__, str(out)]), "-", "-", "-"
     if op.command == "eigensplit":
         parts = [p for f in dataclasses.fields(out) for p in _field_parts(f.name, getattr(out, f.name))]
-        return rc, digest(parts), "-", "-"
+        return rc, digest(parts), "-", "-", "-"
     # a later --format wins, so this reruns the op with --format human
     _, human = run.run_op(op, lambda argv: capturing_main([*argv, "--format", "human"]))
-    return rc, digest([out]), digest([errs[0]]), digest([human])
+    verdict = json.dumps(without_floats(json.loads(out)) if out else None, sort_keys=True)
+    return rc, digest([out]), digest([errs[0]]), digest([human]), digest([rc, verdict])
 
 
 def parse_seeds(text):
