@@ -18,7 +18,6 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -60,16 +59,6 @@ def _det2_rounded(p, q, r, s) -> float:
 def _fracs(block) -> tuple:
     """A row, or a matrix as its rows, of Fractions as tuples."""
     return tuple(map(_fracs, block)) if block.ndim == 2 else tuple(map(ratl.frac, block.tolist()))
-
-
-def _row_norm(rows) -> float:
-    """Infinity norm (largest absolute row sum) of a matrix given as rows."""
-    return max([sum(map(abs, row)) for row in rows])
-
-
-def _affine_maxabs(row, cols, c, other) -> float:
-    """max_j |(row @ M)_j + c * other_j| for M given by its columns."""
-    return max([abs(sum(map(operator.mul, row, col)) + c * o) for col, o in zip(cols, other)])
 
 
 def _bprime(d_block: np.ndarray, b_mat: np.ndarray) -> float:
@@ -117,12 +106,15 @@ class ConstraintSystem:
     l_mm: np.ndarray
     exact: tuple | None = None
     _description: SolutionSetDescription | None = field(default=None, init=False, repr=False)
+    _rows: tuple = field(default=(), init=False, repr=False)  # l_pp, l_pm, l_mp, l_mm, D as lists
 
     def __post_init__(self):
         if self.exact is None:  # built from floats: read them by the package's one rule
             blocks = (self.D, self.l_pp, self.l_pm, self.l_mp, self.l_mm)
             self.exact = (ratl.frac(self.a_plus), ratl.frac(self.a_minus),
                           *(_fracs(np.asarray(x, dtype=object)) for x in blocks))
+        self._rows = tuple(np.asarray(x, dtype=float).tolist()
+                           for x in (self.l_pp, self.l_pm, self.l_mp, self.l_mm, self.D))
 
     @classmethod
     def from_split(cls, split: EigenSplit) -> "ConstraintSystem":
@@ -213,7 +205,7 @@ class ConstraintSystem:
             parts.append(np.array([q]))
         return np.concatenate(parts)
 
-    def residual_pair(self, b: float, b_mat: np.ndarray):
+    def residual_pair(self, b: float, b_mat):
         """(antiholomorphy, block quadric) residuals at B1 = b, B2 = B.
 
         Closed form on the scalar blocks, with B^{-1} by the adjugate over a
@@ -232,10 +224,11 @@ class ConstraintSystem:
         |a_minus - a_plus det B + b b'(B)|, identically 0 when m = 1.  A
         singular b or B (|det| < 1e-14) raises ValueError.  The values are
         those of real_structures.antiholomorphy_residual and rbr2_residual up
-        to rounding, which the tests use as the oracle.
+        to rounding, which the tests use as the oracle.  B is an array or its
+        rows as lists; the arithmetic runs on Python floats, unrolled for each m.
         """
         b = float(b)
-        rows = np.asarray(b_mat, dtype=float).tolist()
+        rows = b_mat if isinstance(b_mat, list) else np.asarray(b_mat, dtype=float).tolist()
         if self.m == 1:
             det = rows[0][0]
         else:
@@ -246,15 +239,22 @@ class ConstraintSystem:
         if abs(det) < 1e-14:
             raise ValueError("B2 is singular")
         bi = 1.0 / b
-        inv = [[1.0 / det]] if self.m == 1 else [[s / det, -q / det], [-r / det, p / det]]
-        pp, pm = self.l_pp.tolist(), self.l_pm.tolist()
-        mp, mm = self.l_mp.tolist(), self.l_mm.tolist()
-        cols, inv_cols = list(zip(*rows)), list(zip(*inv))
-        r_first = max(_affine_maxabs(pp, cols, b, mm), _affine_maxabs(pm, inv_cols, -b, mp))
-        r_second = max(_affine_maxabs(mp, cols, -bi, pm), _affine_maxabs(mm, inv_cols, bi, pp))
-        kappa = 1.0
-        for v in (abs(b), abs(bi), _row_norm(rows), _row_norm(inv)):
-            kappa *= max(1.0, v)
+        if self.m == 1:
+            (pp,), (pm,), (mp,), (mm,), _ = self._rows
+            inv = 1.0 / det
+            r_first = max(abs(pp * det + b * mm), abs(pm * inv - b * mp))
+            r_second = max(abs(mp * det - bi * pm), abs(mm * inv + bi * pp))
+            norm, inv_norm = abs(det), abs(inv)
+        else:  # B^{-1} = [[e, f], [g, h]]
+            (pp1, pp2), (pm1, pm2), (mp1, mp2), (mm1, mm2), _ = self._rows
+            e, f, g, h = s / det, -q / det, -r / det, p / det
+            r_first = max(max(abs(pp1 * p + pp2 * r + b * mm1), abs(pp1 * q + pp2 * s + b * mm2)),
+                          max(abs(pm1 * e + pm2 * g - b * mp1), abs(pm1 * f + pm2 * h - b * mp2)))
+            r_second = max(max(abs(mp1 * p + mp2 * r - bi * pm1), abs(mp1 * q + mp2 * s - bi * pm2)),
+                           max(abs(mm1 * e + mm2 * g + bi * pp1), abs(mm1 * f + mm2 * h + bi * pp2)))
+            norm = max(abs(p) + abs(q), abs(r) + abs(s))
+            inv_norm = max(abs(e) + abs(f), abs(g) + abs(h))
+        kappa = max(1.0, abs(b)) * max(1.0, abs(bi)) * max(1.0, norm) * max(1.0, inv_norm)
         threshold = 1e-9
         if (r_first <= threshold) != (r_second <= threshold * kappa) and (
             r_second <= threshold
@@ -264,7 +264,7 @@ class ConstraintSystem:
             )
         if self.m == 1:
             return r_first, 0.0
-        (d11, d12), (d21, d22) = self.D.tolist()
+        (d11, d12), (d21, d22) = self._rows[4]
         bprime = d11 * q + d12 * s - d21 * p - d22 * r
         return r_first, abs(self.a_minus - self.a_plus * det + b * bprime)
 
@@ -341,14 +341,6 @@ class SolutionSetDescription:
     @property
     def is_empty(self) -> bool:
         return self.kind == "empty"
-
-    def contains(self, b, b_mat, tol=PATH_TOL) -> bool:
-        if self.system is None:
-            raise ValueError("description is not attached to a system")
-        x = self.system.pack(b, b_mat)
-        if not self.system.in_region(x):
-            return False
-        return max(self.system.residual_pair(b, np.atleast_2d(b_mat))) <= tol
 
     def draw(self, rng) -> tuple | None:
         """One raw sample (b, B) from the chart, or None when rejected."""
@@ -1072,21 +1064,28 @@ class ConnectPath:
         }
 
 
-def _vertex_failure(sys: ConstraintSystem, x: np.ndarray) -> str | None:
+def _vertex_failure(sys: ConstraintSystem, x) -> str | None:
     """None when x is a verified path vertex, else the failed check with its values.
 
-    The antiholomorphy residual is held to PATH_TOL, the block quadric one
-    to PATH_TOL times max(1, |a_plus det B|, |b b'(B)|), the size of its
-    terms: on {det B = 1e10} rounding alone leaves about 1e-6.
+    x is a packed position, as an array or as its list of floats.  The
+    antiholomorphy residual is held to PATH_TOL, the block quadric one to
+    PATH_TOL times max(1, |a_plus det B|, |b b'(B)|), the size of its terms:
+    on {det B = 1e10} rounding alone leaves about 1e-6.
     """
-    b, b_mat = sys.unpack(x)
-    det = _det2(b_mat)
+    b, *rest = x.tolist() if isinstance(x, np.ndarray) else x
+    if sys.m == 1:
+        det, rows = rest[0], [rest]
+    else:
+        p, q, r, s = rest
+        (d11, d12), (d21, d22) = sys._rows[4]
+        det, rows = p * s - q * r, [[p, q], [r, s]]
+        bprime = (d11 * q + d12 * s) - (d21 * p + d22 * r)  # (DB)_12 - (DB)_21
     if not (b > REGION_TOL and det > REGION_TOL):
         return f"b = {b:.6g} and det B = {det:.6g} leave the region"
-    anti, quad = sys.residual_pair(b, b_mat)
+    anti, quad = sys.residual_pair(b, rows)
     if not anti <= PATH_TOL:
         return f"antiholomorphy residual {anti:.6g} exceeds {PATH_TOL:g}"
-    size = 1.0 if sys.m == 1 else max(1.0, abs(sys.a_plus * det), abs(b * _bprime(sys.D, b_mat)))
+    size = 1.0 if sys.m == 1 else max(1.0, abs(sys.a_plus * det), abs(b * bprime))
     if not quad <= PATH_TOL * size:
         return f"block quadric residual {quad:.6g} exceeds {PATH_TOL:g} x {size:.6g}"
     return None
@@ -1101,7 +1100,7 @@ def _as_position(sys: ConstraintSystem, point) -> np.ndarray:
     raise ValueError("a path endpoint must be a witness or a packed position")
 
 
-def _chord_det_min(sys: ConstraintSystem, x0: np.ndarray, x1: np.ndarray) -> float:
+def _chord_det_min(sys: ConstraintSystem, x0: list, x1: list) -> float:
     """Closed-form minimum of det B, a quadratic, along the chord from x0 to x1.
 
     b is linear, so it stays positive between positive ends; for m = 1 the
@@ -1109,9 +1108,7 @@ def _chord_det_min(sys: ConstraintSystem, x0: np.ndarray, x1: np.ndarray) -> flo
     """
     if sys.m == 1:
         return math.inf
-    _, b0 = sys.unpack(x0)
-    _, b1 = sys.unpack(x1)
-    return _quad_min01(*_det_along_line(b0, b1))
+    return _quad_min01(*_det_along_line(x0[1:], x1[1:]))
 
 
 class _LinearCurve:
@@ -1165,22 +1162,24 @@ def _walk_curve(sys: ConstraintSystem, leg):
     vertices keep det B > 0.  Returns (vertices, None), or (None, (t,
     vertices so far, reason)).
     """
-    points = []
+    points, prev = [], None  # prev: the last vertex as a list of floats
     for t in (0.0, 0.5, 1.0) if isinstance(leg, _LinearCurve) else _GRID:
         x = leg(t)
-        why = "the chart is singular" if x is None else _vertex_failure(sys, x)
-        if why is None and points and not (low := _chord_det_min(sys, points[-1], x)) > 0.0:
+        xs = None if x is None else x.tolist()
+        why = "the chart is singular" if x is None else _vertex_failure(sys, xs)
+        if why is None and points and not (low := _chord_det_min(sys, prev, xs)) > 0.0:
             why = f"the chord from the vertex before reaches det B = {low:.6g}"
         if why is not None:
             return None, (t, points, why)
         points.append(x)
+        prev = xs
     return points, None
 
 
-def _det_along_line(bp_mat: np.ndarray, bq_mat: np.ndarray):
-    """Coefficients of det((1-t) P + t Q) as c0 + c1 t + c2 t^2."""
-    p00, p01, p10, p11 = np.ravel(bp_mat).tolist()
-    q00, q01, q10, q11 = np.ravel(bq_mat).tolist()
+def _det_along_line(bp: list, bq: list):
+    """Coefficients of det((1-t) P + t Q) as c0 + c1 t + c2 t^2; P and Q as 4 floats."""
+    p00, p01, p10, p11 = bp
+    q00, q01, q10, q11 = bq
     d00, d01, d10, d11 = q00 - p00, q01 - p01, q10 - p10, q11 - p11
     c0 = p00 * p11 - p01 * p10
     c1 = p11 * d00 - p01 * d10 - p10 * d01 + p00 * d11
@@ -1227,13 +1226,13 @@ def _graph_leg_ok(sys: ConstraintSystem, curve) -> bool:
     samples.  Other legs are checked at 33 points.
     """
     if isinstance(curve, _LinearCurve):
-        b0, m0 = sys.unpack(curve.x0)
-        b1, m1 = sys.unpack(curve.x1)
+        b0, *m0 = curve.x0.tolist()
+        b1, *m1 = curve.x1.tolist()
         # c0 is det(m0) as the sampler computes it; c0 + c1 + c2 rounds apart from det(m1)
-        det_min = min(_quad_min01(*_det_along_line(m0, m1)), _det2(m1))
+        det_min = min(_quad_min01(*_det_along_line(m0, m1)), m1[0] * m1[3] - m1[1] * m1[2])
         return min(b0, b1) > _SAFE and det_min > _SAFE
-    return all(x is not None and x[0] > _SAFE and _det2(x[1:]) > _SAFE
-               for x in map(curve, np.linspace(0.0, 1.0, 33)))
+    points = (None if x is None else x.tolist() for x in map(curve, np.linspace(0.0, 1.0, 33)))
+    return all(x is not None and x[0] > _SAFE and x[1] * x[4] - x[2] * x[3] > _SAFE for x in points)
 
 
 def _checked_leg(sys: ConstraintSystem, verdicts: dict, make_leg, x0, x1):
@@ -1274,7 +1273,7 @@ def _stratum_candidates(sys: ConstraintSystem, count=12):
 def _landing_b(sys: ConstraintSystem, b_from: np.ndarray, b_star: np.ndarray):
     """Limit of (a_plus det - a_minus)/b' along the line into the stratum."""
     row = _bprime_row(sys.D)
-    c0, c1, c2 = _det_along_line(b_from, b_star)
+    c0, c1, c2 = _det_along_line(b_from.ravel().tolist(), b_star.ravel().tolist())
     bp_start = float(row @ b_from.ravel())
     # numerator n(t) = a_plus det(t) - a_minus vanishes at t = 1; the ratio
     # against b'(t) = (1 - t) bp_start tends to -n'(1)/bp_start
@@ -1594,6 +1593,7 @@ def connectivity_certificate(
             seed=seed,
         )
     witnesses = sample_solutions(sys, samples, seed)
+    positions = [w.position() for w in witnesses]
     n = len(witnesses)
     parent = list(range(n))
 
@@ -1605,7 +1605,7 @@ def connectivity_certificate(
 
     pairs = sorted(
         itertools.combinations(range(n), 2),
-        key=lambda ij: np.linalg.norm(witnesses[ij[0]].position() - witnesses[ij[1]].position()),
+        key=lambda ij: np.linalg.norm(positions[ij[0]] - positions[ij[1]]),
     )
     paths = []
     failures = []
@@ -1613,7 +1613,7 @@ def connectivity_certificate(
         ri, rj = find(i), find(j)
         if ri == rj:
             continue
-        result = connect(witnesses[i], witnesses[j], sys)
+        result = connect(positions[i], positions[j], sys)
         if result.success:
             parent[ri] = rj
             paths.append(result)

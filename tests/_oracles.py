@@ -10,6 +10,7 @@ the order in which connect searches them.
 
 from __future__ import annotations
 
+import operator
 import random
 from fractions import Fraction
 
@@ -480,6 +481,82 @@ def float_nappe_sign(d_block, b_mat) -> int:
     vals, vecs = np.linalg.eigh(restr)
     direction = vecs[:, int(np.argmax(vals))]
     return 1 if float(direction @ (kern.T @ np.ravel(b_mat))) > 0 else -1
+
+
+# ---------------------------------------------------------------------------
+# the point checks on numpy rows, as the library wrote them before it read
+# each point once into Python floats; the scalar forms must agree bit for bit
+
+
+def _row_norm(rows) -> float:
+    """Infinity norm (largest absolute row sum) of a matrix given as rows."""
+    return max([sum(map(abs, row)) for row in rows])
+
+
+def _affine_maxabs(row, cols, c, other) -> float:
+    """max_j |(row @ M)_j + c * other_j| for M given by its columns."""
+    return max([abs(sum(map(operator.mul, row, col)) + c * o) for col, o in zip(cols, other)])
+
+
+def residual_pair_numpy(sys, b, b_mat):
+    """ConstraintSystem.residual_pair with its blocks read from the arrays on every call."""
+    b = float(b)
+    rows = np.asarray(b_mat, dtype=float).tolist()
+    if sys.m == 1:
+        det = rows[0][0]
+    else:
+        (p, q), (r, s) = rows
+        det = se._det2_rounded(p, q, r, s)
+    if abs(b) < 1e-14:
+        raise ValueError("B1 is singular")
+    if abs(det) < 1e-14:
+        raise ValueError("B2 is singular")
+    bi = 1.0 / b
+    inv = [[1.0 / det]] if sys.m == 1 else [[s / det, -q / det], [-r / det, p / det]]
+    pp, pm = sys.l_pp.tolist(), sys.l_pm.tolist()
+    mp, mm = sys.l_mp.tolist(), sys.l_mm.tolist()
+    cols, inv_cols = list(zip(*rows)), list(zip(*inv))
+    r_first = max(_affine_maxabs(pp, cols, b, mm), _affine_maxabs(pm, inv_cols, -b, mp))
+    r_second = max(_affine_maxabs(mp, cols, -bi, pm), _affine_maxabs(mm, inv_cols, bi, pp))
+    kappa = 1.0
+    for v in (abs(b), abs(bi), _row_norm(rows), _row_norm(inv)):
+        kappa *= max(1.0, v)
+    threshold = 1e-9
+    if (r_first <= threshold) != (r_second <= threshold * kappa) and (
+        r_second <= threshold
+    ) != (r_first <= threshold * kappa):
+        raise RuntimeError(
+            f"antiholomorphy forms disagree: {r_first} vs {r_second} (kappa {kappa})"
+        )
+    if sys.m == 1:
+        return r_first, 0.0
+    (d11, d12), (d21, d22) = sys.D.tolist()
+    bprime = d11 * q + d12 * s - d21 * p - d22 * r
+    return r_first, abs(sys.a_minus - sys.a_plus * det + b * bprime)
+
+
+def vertex_failure_numpy(sys, x):
+    """solver_explorer._vertex_failure on the unpacked arrays, with b'(B) from D @ B."""
+    b, b_mat = sys.unpack(x)
+    det = se._det2(b_mat)
+    if not (b > se.REGION_TOL and det > se.REGION_TOL):
+        return f"b = {b:.6g} and det B = {det:.6g} leave the region"
+    anti, quad = residual_pair_numpy(sys, b, b_mat)
+    if not anti <= se.PATH_TOL:
+        return f"antiholomorphy residual {anti:.6g} exceeds {se.PATH_TOL:g}"
+    size = 1.0 if sys.m == 1 else max(1.0, abs(sys.a_plus * det), abs(b * se._bprime(sys.D, b_mat)))
+    if not quad <= se.PATH_TOL * size:
+        return f"block quadric residual {quad:.6g} exceeds {se.PATH_TOL:g} x {size:.6g}"
+    return None
+
+
+def family_contains(desc, b, b_mat) -> bool:
+    """Whether (b, B) lies in the region and both residuals are within PATH_TOL."""
+    sys = desc.system
+    b_mat = np.atleast_2d(np.asarray(b_mat, dtype=float))
+    if not sys.in_region(sys.pack(b, b_mat)):
+        return False
+    return max(residual_pair_numpy(sys, b, b_mat)) <= se.PATH_TOL
 
 
 # ---------------------------------------------------------------------------

@@ -171,6 +171,20 @@ def test_certify_ppzero_quadrant_is_one_component(tmp_path, capsys):
     assert report["certificate"]["failures"] == []
 
 
+def test_certify_one_sided_hypersurface_with_large_b(tmp_path, capsys):
+    # bug fixed: with the Newton corrector, the join from the witness at
+    # b = 20792 failed "below the minimal step size", so this certified
+    # 2 components and exited 1; the graph legs over B reach it exactly
+    doc = {"system": {"m": 2, "a_plus": 1, "a_minus": -2, "D": [[3, 3], [3, -2]],
+                      "l_pp": [0, 0], "l_pm": [0, 0], "l_mp": [0, 0], "l_mm": [0, 0]}}
+    rc, out, _ = run(tmp_path, capsys, "certify", doc,
+                     "--samples", "6", "--seed", "99790", "--format", "machine")
+    assert rc == 0
+    report = json.loads(out)
+    assert report["component_count"] == 1 and report["certificate"]["failures"] == []
+    assert max(w["b"] for w in report["certificate"]["witnesses"]) == pytest.approx(20792, abs=0.5)
+
+
 @pytest.mark.parametrize("system", [
     {"m": 1, "l_pp": [0], "l_pm": [2], "l_mp": [1], "l_mm": [0]},
     QUADRIC_SYS["system"],

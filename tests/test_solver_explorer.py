@@ -20,10 +20,13 @@ from torusbundles.real_structures import (
 )
 from _oracles import (
     eager_connect,
+    family_contains,
     float_nappe_sign,
     float_restricted_signature,
     kodaira_equations,
+    residual_pair_numpy,
     threefold_equations,
+    vertex_failure_numpy,
 )
 from torusbundles.solver_explorer import (
     PATH_TOL,
@@ -78,7 +81,7 @@ def check_witnesses(desc):
     assert desc.witnesses, "nonempty description carries witnesses"
     for w in desc.witnesses:
         assert max(w.residuals) <= 1e-9
-        assert desc.contains(w.b, w.b_matrix)
+        assert family_contains(desc, w.b, w.b_matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +124,7 @@ def test_kodaira_quadrant():
     assert desc.kind == "quadrant"
     assert desc.dimension == 2
     check_witnesses(desc)
-    assert desc.contains(0.3, [[7.5]])
+    assert family_contains(desc, 0.3, [[7.5]])
 
 
 def test_kodaira_sign_clash_empty():
@@ -139,8 +142,8 @@ def test_kodaira_hyperbola():
     check_witnesses(desc)
     for w in desc.witnesses:
         assert w.b * w.b_matrix[0, 0] == pytest.approx(2.0, abs=1e-12)
-    assert desc.contains(4.0, [[0.5]])
-    assert not desc.contains(1.0, [[1.0]])
+    assert family_contains(desc, 4.0, [[0.5]])
+    assert not family_contains(desc, 1.0, [[1.0]])
 
 
 def test_kodaira_hyperbola_beyond_box():
@@ -168,8 +171,8 @@ def test_kodaira_point():
     assert desc.constants["b2"] == pytest.approx(1.0, abs=1e-14)
     assert desc.constants["slope"] == 1.0
     check_witnesses(desc)
-    assert desc.contains(1.0, [[1.0]])
-    assert not desc.contains(2.0, [[2.0]])
+    assert family_contains(desc, 1.0, [[1.0]])
+    assert not family_contains(desc, 2.0, [[2.0]])
 
 
 def test_kodaira_inconsistent_point_empty():
@@ -189,7 +192,7 @@ def test_quadric_family():
     assert desc.kind == "quadric"
     assert desc.dimension == 3
     assert desc.b_free
-    assert desc.contains(1.0, np.eye(2))
+    assert family_contains(desc, 1.0, np.eye(2))
     check_witnesses(desc)
     for w in desc.witnesses:
         assert np.linalg.det(w.b_matrix) == pytest.approx(1.0, abs=1e-9)
@@ -470,13 +473,15 @@ def test_residual_pair_matches_block_operator_oracle():
     assert sum(decisions) >= 20 and decisions.count(False) >= 20
 
 
+# an L.ppzero certificate witness with det B = 0.0177: the float difference
+# p s - q r moves the l_pm B^-1 route by about 1e-11
+PPZERO = three(0.0, -2.0, [[0.0, -2.0], [0.0, -1.0]], ZL, [2.0, 1.0], [-2.0, 3.0], ZL)
+PPZERO_WITNESS = (7.52072524638187, np.array([[-22.243717196503706, -11.321307448044847],
+                                              [-14.740500864427807, -7.503216332075899]]))
+
+
 def test_residual_pair_exact_on_nearly_singular_block():
-    # an L.ppzero certificate witness with det B = 0.0177: the float
-    # difference p s - q r moves the l_pm B^-1 route by about 1e-11
-    sys = three(0.0, -2.0, [[0.0, -2.0], [0.0, -1.0]], ZL, [2.0, 1.0], [-2.0, 3.0], ZL)
-    b = 7.52072524638187
-    b_mat = np.array([[-22.243717196503706, -11.321307448044847],
-                      [-14.740500864427807, -7.503216332075899]])
+    sys, (b, b_mat) = PPZERO, PPZERO_WITNESS
     (p, q), (r, s) = [[Fraction(x) for x in row] for row in b_mat.tolist()]
     det = p * s - q * r
     inv_cols = ((s / det, -r / det), (-q / det, p / det))
@@ -495,6 +500,62 @@ def test_residual_pair_singular_blocks_raise():
             sys.residual_pair(1.0, singular)
         with pytest.raises(ValueError, match="B2 is singular"):
             CompatibleStructure(B1=[[1.0]], B2=singular)
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the type and message of the ValueError or RuntimeError it raises."""
+    try:
+        return fn(*args)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+
+
+# the seed-425 system of a mixed-scale sweep: one of solve's own witness
+# draws makes the two antiholomorphy forms disagree
+SEED_425 = three(0, -97.91245074184081, [[-59245.05273081512, 2.1023785444008034], [0, 0]], ZL,
+                 [-0.028305162999240584, 8.087443989392735], [-43659.10878745891, -87494.87335902329], ZL)
+
+
+def test_point_checks_match_the_numpy_oracle_bit_for_bit(monkeypatch):
+    rng = np.random.default_rng(11)
+    cases = []  # (system, b, B)
+    for sys in _oracle_systems(rng):  # m = 1 and m = 2, raw blocks and eigensplits
+        if not solve(sys).is_empty:
+            for w in sample_solutions(sys, 4, seed=2):
+                cases.append((sys, w.b, w.b_matrix))
+                cases.append((sys, w.b, w.b_matrix * (1.0 + 1e-6)))
+                cases.append((sys, w.b * 1.01, w.b_matrix + 1e-3 * rng.normal(size=w.b_matrix.shape)))
+        for _ in range(6):
+            cases.append((sys, rng.uniform(-5.0, 5.0), 3.0 * rng.normal(size=(sys.m, sys.m))))
+    cases.append((PPZERO, *PPZERO_WITNESS))
+    full = three(1.0, 2.0, [[1.0, 2.0], [3.0, 4.0]], [1.0, 0.5], [0.0, 1.0], [2.0, 0.0], [0.5, 1.0])
+    for big in (1e151, 1e160):  # p s - q r beyond 1e300: the float difference is kept
+        cases.append((full, 2.0, np.array([[big, 3.0], [5.0, big]])))
+    for sys in (kod(1.0, 2.0, 1.0, -1.0), full):  # singular b, then singular B
+        cases += [(sys, 0.0, np.eye(sys.m)), (sys, 1.0, np.zeros((sys.m, sys.m)))]
+    cases.append((full, 1.0, np.array([[1.0, 2.0], [2.0, 4.0]])))
+    seen = []
+    make = se._make_witness
+    monkeypatch.setattr(se, "_make_witness",
+                        lambda sys, b, b_mat, label: seen.append((sys, b, b_mat)) or make(sys, b, b_mat, label))
+    with pytest.raises(RuntimeError, match="forms disagree"):
+        solve(SEED_425)
+    cases += seen
+    errors, failures = set(), set()
+    for sys, b, b_mat in cases:
+        want = _outcome(residual_pair_numpy, sys, b, b_mat)
+        assert _outcome(sys.residual_pair, b, b_mat) == want
+        assert _outcome(sys.residual_pair, b, np.asarray(b_mat).tolist()) == want
+        if isinstance(want[0], type):
+            errors.add((want[0], want[1].split(":")[0]))
+        x = sys.pack(b, b_mat)
+        want = _outcome(vertex_failure_numpy, sys, x)
+        assert _outcome(se._vertex_failure, sys, x) == want
+        assert _outcome(se._vertex_failure, sys, x.tolist()) == want
+        failures.add(want.split(" ")[0] if isinstance(want, str) else want)
+    assert errors == {(ValueError, "B1 is singular"), (ValueError, "B2 is singular"),
+                      (RuntimeError, "antiholomorphy forms disagree")}
+    assert {None, "b", "antiholomorphy", "block"} <= failures  # the region, then each residual
 
 
 # ---------------------------------------------------------------------------
@@ -577,7 +638,7 @@ def test_connect_on_quadric():
     desc = solve(cs)
     for vertex in path.points:
         b, b_mat = cs.unpack(np.array(vertex))
-        assert desc.contains(b, b_mat)
+        assert family_contains(desc, b, b_mat)
 
 
 def test_connect_across_coupling_sign():
@@ -597,7 +658,7 @@ def test_connect_across_coupling_sign():
     desc = solve(cs)
     for vertex in path.points:
         b, b_mat = cs.unpack(np.array(vertex))
-        assert desc.contains(b, b_mat)
+        assert family_contains(desc, b, b_mat)
 
 
 def test_connect_rejects_nonsolution_endpoint():
