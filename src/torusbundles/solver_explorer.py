@@ -61,10 +61,15 @@ def _fracs(block) -> tuple:
     return tuple(map(_fracs, block)) if block.ndim == 2 else tuple(map(ratl.frac, block.tolist()))
 
 
-def _bprime(d_block: np.ndarray, b_mat: np.ndarray) -> float:
-    """Antisymmetric part (DB)_{12} - (DB)_{21} of the coupling product."""
-    p = d_block @ b_mat
-    return float(p[0, 1] - p[1, 0])
+def _bprime(d_rows, b_rows):
+    """b'(B) = (DB)_{12} - (DB)_{21} on rows of numbers: exact on Fractions.
+
+    On floats it is d11 b12 + d12 b22 - d21 b11 - d22 b21, one operation
+    at a time from the left, so no fused multiply-add enters the value.
+    """
+    (d11, d12), (d21, d22) = d_rows
+    (b11, b12), (b21, b22) = b_rows
+    return d11 * b12 + d12 * b22 - d21 * b11 - d22 * b21
 
 
 def _bprime_row(d_block: np.ndarray) -> np.ndarray:
@@ -190,10 +195,6 @@ class ConstraintSystem:
         x = np.asarray(x, dtype=float)
         return float(x[0]), x[1:].reshape(self.m, self.m)
 
-    def in_region(self, x, margin=REGION_TOL) -> bool:
-        b, b_mat = self.unpack(x)
-        return b > margin and _det2(b_mat) > margin
-
     def equality_stack(self, x: np.ndarray) -> np.ndarray:
         """Cleared polynomial form of the equations, smooth on the region."""
         b, b_mat = self.unpack(x)
@@ -201,7 +202,8 @@ class ConstraintSystem:
         eq2 = b * (self.l_mp @ b_mat) - self.l_pm
         parts = [eq1, eq2]
         if self.m == 2:
-            q = self.a_minus - self.a_plus * _det2(b_mat) + b * _bprime(self.D, b_mat)
+            bprime = _bprime(self._rows[4], b_mat.tolist())
+            q = self.a_minus - self.a_plus * _det2(b_mat) + b * bprime
             parts.append(np.array([q]))
         return np.concatenate(parts)
 
@@ -209,22 +211,15 @@ class ConstraintSystem:
         """(antiholomorphy, block quadric) residuals at B1 = b, B2 = B.
 
         Closed form on the scalar blocks, with B^{-1} by the adjugate over a
-        once-rounded det B.  The antiholomorphy residual is the primary form
+        once-rounded det B.  The antiholomorphy residual is
 
             max |l_pp B + b l_mm|, |l_pm B^{-1} - b l_mp|,
 
-        and the form composed with the inverses,
-
-            max |l_mp B - b^{-1} l_pm|, |l_mm B^{-1} + b^{-1} l_pp|,
-
-        is evaluated independently.  The two vanish together up to
-        kappa = max(1,|b|) max(1,|b^{-1}|) max(1,|B|inf) max(1,|B^{-1}|inf):
-        a RuntimeError is raised unless one form is below 1e-9 exactly when
-        the other is below 1e-9 kappa.  The quadric residual is
-        |a_minus - a_plus det B + b b'(B)|, identically 0 when m = 1.  A
-        singular b or B (|det| < 1e-14) raises ValueError.  The values are
-        those of real_structures.antiholomorphy_residual and rbr2_residual up
-        to rounding, which the tests use as the oracle.  B is an array or its
+        and the quadric residual |a_minus - a_plus det B + b b'(B)|,
+        identically 0 when m = 1.  A singular b or B (|det| < 1e-14) raises
+        ValueError.  The values are those of
+        real_structures.antiholomorphy_residual and rbr2_residual up to
+        rounding, which the tests use as the oracle.  B is an array or its
         rows as lists; the arithmetic runs on Python floats, unrolled for each m.
         """
         b = float(b)
@@ -238,60 +233,36 @@ class ConstraintSystem:
             raise ValueError("B1 is singular")
         if abs(det) < 1e-14:
             raise ValueError("B2 is singular")
-        bi = 1.0 / b
         if self.m == 1:
             (pp,), (pm,), (mp,), (mm,), _ = self._rows
-            inv = 1.0 / det
-            r_first = max(abs(pp * det + b * mm), abs(pm * inv - b * mp))
-            r_second = max(abs(mp * det - bi * pm), abs(mm * inv + bi * pp))
-            norm, inv_norm = abs(det), abs(inv)
-        else:  # B^{-1} = [[e, f], [g, h]]
-            (pp1, pp2), (pm1, pm2), (mp1, mp2), (mm1, mm2), _ = self._rows
-            e, f, g, h = s / det, -q / det, -r / det, p / det
-            r_first = max(max(abs(pp1 * p + pp2 * r + b * mm1), abs(pp1 * q + pp2 * s + b * mm2)),
-                          max(abs(pm1 * e + pm2 * g - b * mp1), abs(pm1 * f + pm2 * h - b * mp2)))
-            r_second = max(max(abs(mp1 * p + mp2 * r - bi * pm1), abs(mp1 * q + mp2 * s - bi * pm2)),
-                           max(abs(mm1 * e + mm2 * g + bi * pp1), abs(mm1 * f + mm2 * h + bi * pp2)))
-            norm = max(abs(p) + abs(q), abs(r) + abs(s))
-            inv_norm = max(abs(e) + abs(f), abs(g) + abs(h))
-        kappa = max(1.0, abs(b)) * max(1.0, abs(bi)) * max(1.0, norm) * max(1.0, inv_norm)
-        threshold = 1e-9
-        if (r_first <= threshold) != (r_second <= threshold * kappa) and (
-            r_second <= threshold
-        ) != (r_first <= threshold * kappa):
-            raise RuntimeError(
-                f"antiholomorphy forms disagree: {r_first} vs {r_second} (kappa {kappa})"
-            )
-        if self.m == 1:
-            return r_first, 0.0
-        (d11, d12), (d21, d22) = self._rows[4]
-        bprime = d11 * q + d12 * s - d21 * p - d22 * r
-        return r_first, abs(self.a_minus - self.a_plus * det + b * bprime)
+            return max(abs(pp * det + b * mm), abs(pm * (1.0 / det) - b * mp)), 0.0
+        (pp1, pp2), (pm1, pm2), (mp1, mp2), (mm1, mm2), d_rows = self._rows
+        e, f, g, h = s / det, -q / det, -r / det, p / det  # B^{-1} = [[e, f], [g, h]]
+        anti = max(max(abs(pp1 * p + pp2 * r + b * mm1), abs(pp1 * q + pp2 * s + b * mm2)),
+                   max(abs(pm1 * e + pm2 * g - b * mp1), abs(pm1 * f + pm2 * h - b * mp2)))
+        return anti, abs(self.a_minus - self.a_plus * det + b * _bprime(d_rows, rows))
 
 
 # ---------------------------------------------------------------------------
 # witnesses and descriptions
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SolutionWitness:
-    """A verified point of the solution family."""
+    """A verified point (b, B) of the solution family, with its residuals.
 
-    cs: CompatibleStructure
+    It passed _vertex_failure with WITNESS_TOL, the check of every path
+    vertex; cs builds the CompatibleStructure (B1, B2) = ([[b]], B) when read.
+    """
+
+    b: float
+    b_matrix: np.ndarray
     residuals: tuple
     case_label: str
 
-    def __post_init__(self):
-        if max(self.residuals) > WITNESS_TOL:
-            raise ValueError("witness residuals exceed the admissible bound")
-
     @property
-    def b(self) -> float:
-        return float(np.atleast_2d(self.cs.B1)[0, 0])
-
-    @property
-    def b_matrix(self) -> np.ndarray:
-        return np.atleast_2d(np.array(self.cs.B2, dtype=float))
+    def cs(self) -> CompatibleStructure:
+        return CompatibleStructure(B1=[[self.b]], B2=self.b_matrix)
 
     def position(self) -> np.ndarray:
         return np.concatenate(([self.b], self.b_matrix.ravel()))
@@ -303,15 +274,6 @@ class SolutionWitness:
             "residuals": [float(r) for r in self.residuals],
             "case": self.case_label,
         }
-
-
-def _make_witness(sys: ConstraintSystem, b, b_mat, label) -> SolutionWitness:
-    res = sys.residual_pair(b, b_mat)
-    return SolutionWitness(
-        cs=CompatibleStructure(B1=[[float(b)]], B2=np.asarray(b_mat, dtype=float)),
-        residuals=res,
-        case_label=label,
-    )
 
 
 @dataclass(eq=False)
@@ -401,14 +363,18 @@ def _draws(draw, seed, want, tries, keep) -> list:
 
 
 def _draw_witnesses(sys, desc, seed, want, tries) -> list:
-    """Up to `want` verified witnesses from at most `tries` seeded chart draws."""
+    """Up to `want` witnesses from at most `tries` seeded chart draws.
+
+    A draw is kept when it passes _vertex_failure with WITNESS_TOL; a
+    rejected draw is logged at DEBUG level with the failed check.
+    """
 
     def verified(cand):
-        if sys.in_region(sys.pack(*cand)):
-            try:
-                return _make_witness(sys, *cand, desc.case_label)
-            except ValueError:
-                log.debug("rejected witness draw at b=%s", cand[0])
+        x = sys.pack(*cand)
+        why, res = _vertex_failure(sys, x, WITNESS_TOL)
+        if why is None:
+            return SolutionWitness(float(x[0]), x[1:].reshape(sys.m, sys.m), res, desc.case_label)
+        log.debug("rejected witness draw at b=%s: %s", cand[0], why)
         return None
 
     return _draws(desc.draw, seed, want, tries, verified)
@@ -445,12 +411,6 @@ class CaseInfo:
     constants: dict
     notes: tuple = ()
     exact: dict = field(default_factory=dict, repr=False)
-
-
-def _qbprime(d_rows, b_rows):
-    """b'(B) = (DB)_{12} - (DB)_{21} on rational rows."""
-    p = ratl.mat_mul(d_rows, b_rows)
-    return p[0][1] - p[1][0]
 
 
 def _wlog_transform(row) -> list:
@@ -549,8 +509,8 @@ def classify_case(sys: ConstraintSystem) -> CaseInfo:
             m1 = ratl.mat_mul(inv, [[-x for x in mm], [0, 0]])
             m2 = ratl.mat_mul(inv, [[0, 0], list(pm)])
             alpha = -_det2((mm, pm)) / det_rows
-            c1 = _qbprime(d_rows, m1)
-            c0 = am - alpha * ap + _qbprime(d_rows, m2)
+            c1 = _bprime(d_rows, m1)
+            c0 = am - alpha * ap + _bprime(d_rows, m2)
             return leaf("L.indep", {"alpha": alpha, "M1": m1, "M2": m2, "c1": c1, "c": c0,
                                     "det_rows": det_rows})
         # proportional rows: beta with l_pp = beta * l_mp
@@ -805,7 +765,7 @@ def solve_threefold(sys: ConstraintSystem) -> SolutionSetDescription:
         def draw_graph(rng):
             b_mat = rng.uniform(-_BOX, _BOX, (2, 2))
             det = _det2(b_mat)
-            bp = _bprime(cs.D, b_mat)
+            bp = _bprime(cs._rows[4], b_mat.tolist())
             if det <= REGION_TOL or abs(bp) < 1e-8:
                 return None
             b = (a_p * det - a_m) / bp
@@ -856,7 +816,7 @@ def solve_threefold(sys: ConstraintSystem) -> SolutionSetDescription:
         dn = ratl.mat_vec(d_rows, normal)
         # eq_lin = -a_plus det_lin + bhat bp_lin carries bhat: test bhat eq_lin
         e_lin = [bsq * y - ap * x for x, y in zip(det_lin_r, (-dn[1], dn[0]))]
-        eq_const = am + _qbprime(d_rows, r)
+        eq_const = am + _bprime(d_rows, r)
         b0 = np.array(r, dtype=float) / bhat
         normal = np.array(normal, dtype=float)
         det_lin = np.array(det_lin_r, dtype=float) / bhat
@@ -1033,8 +993,10 @@ def sample_solutions(sys: ConstraintSystem, count: int, seed: int = 0) -> list:
 
     At most max(50, 60 count) chart draws from a generator seeded with the
     non-negative seed, a rejected draw using up one, so the returned list
-    may be shorter than requested (rejected witnesses are logged at DEBUG
-    level).  Raises ValueError when the family is empty.
+    may be shorter than requested.  A draw is kept when it passes the check
+    of every path vertex with WITNESS_TOL (see _vertex_failure); a draw
+    that fails it is logged at DEBUG level with the failed check.  Raises
+    ValueError when the family is empty.
     """
     desc = solve(sys)
     if desc.is_empty:
@@ -1064,31 +1026,34 @@ class ConnectPath:
         }
 
 
-def _vertex_failure(sys: ConstraintSystem, x) -> str | None:
-    """None when x is a verified path vertex, else the failed check with its values.
+def _vertex_failure(sys: ConstraintSystem, x, tol=PATH_TOL):
+    """(why, residuals): the one check of a point, why None when x passes.
 
-    x is a packed position, as an array or as its list of floats.  The
-    antiholomorphy residual is held to PATH_TOL, the block quadric one to
-    PATH_TOL times max(1, |a_plus det B|, |b b'(B)|), the size of its terms:
-    on {det B = 1e10} rounding alone leaves about 1e-6.
+    It accepts path vertices (tol = PATH_TOL) and witnesses (WITNESS_TOL).
+    x is a packed position, as an array or as its list of floats.  First
+    the region test b, det B > REGION_TOL, then one residual_pair call:
+    the antiholomorphy residual is held to tol, the block quadric one to
+    tol times max(1, |a_plus det B|, |b b'(B)|), the size of its terms: on
+    {det B = 1e10} rounding alone leaves about 1e-6.  why names the failed
+    check with its values; residuals is None when the region test fails.
     """
     b, *rest = x.tolist() if isinstance(x, np.ndarray) else x
     if sys.m == 1:
         det, rows = rest[0], [rest]
     else:
         p, q, r, s = rest
-        (d11, d12), (d21, d22) = sys._rows[4]
         det, rows = p * s - q * r, [[p, q], [r, s]]
-        bprime = (d11 * q + d12 * s) - (d21 * p + d22 * r)  # (DB)_12 - (DB)_21
     if not (b > REGION_TOL and det > REGION_TOL):
-        return f"b = {b:.6g} and det B = {det:.6g} leave the region"
-    anti, quad = sys.residual_pair(b, rows)
-    if not anti <= PATH_TOL:
-        return f"antiholomorphy residual {anti:.6g} exceeds {PATH_TOL:g}"
-    size = 1.0 if sys.m == 1 else max(1.0, abs(sys.a_plus * det), abs(b * bprime))
-    if not quad <= PATH_TOL * size:
-        return f"block quadric residual {quad:.6g} exceeds {PATH_TOL:g} x {size:.6g}"
-    return None
+        return f"b = {b:.6g} and det B = {det:.6g} leave the region", None
+    res = anti, quad = sys.residual_pair(b, rows)
+    if not anti <= tol:
+        return f"antiholomorphy residual {anti:.6g} exceeds {tol:g}", res
+    size = 1.0
+    if sys.m == 2:
+        size = max(1.0, abs(sys.a_plus * det), abs(b * _bprime(sys._rows[4], rows)))
+    if not quad <= tol * size:
+        return f"block quadric residual {quad:.6g} exceeds {tol:g} x {size:.6g}", res
+    return None, res
 
 
 def _as_position(sys: ConstraintSystem, point) -> np.ndarray:
@@ -1166,7 +1131,7 @@ def _walk_curve(sys: ConstraintSystem, leg):
     for t in (0.0, 0.5, 1.0) if isinstance(leg, _LinearCurve) else _GRID:
         x = leg(t)
         xs = None if x is None else x.tolist()
-        why = "the chart is singular" if x is None else _vertex_failure(sys, xs)
+        why = "the chart is singular" if x is None else _vertex_failure(sys, xs)[0]
         if why is None and points and not (low := _chord_det_min(sys, prev, xs)) > 0.0:
             why = f"the chord from the vertex before reaches det B = {low:.6g}"
         if why is not None:
@@ -1205,13 +1170,12 @@ def _graph_leg(sys: ConstraintSystem, x0, x1) -> _ChartLeg:
     b = (a_plus det B - a_minus) / b'(B); where the linear form b' vanishes
     (only at an end of the chord, by linearity) the leg's end is used.
     """
-    row = _bprime_row(sys.D)
 
     def point(m):
-        bp_val = float(row @ m)
+        b_mat = m.reshape(2, 2)
+        bp_val = _bprime(sys._rows[4], b_mat.tolist())
         if abs(bp_val) < 1e-9:
             return None
-        b_mat = m.reshape(2, 2)
         return (sys.a_plus * _det2(b_mat) - sys.a_minus) / bp_val, b_mat
 
     return _ChartLeg(x0, x1, point, x0[1:], x1[1:])
@@ -1272,9 +1236,8 @@ def _stratum_candidates(sys: ConstraintSystem, count=12):
 
 def _landing_b(sys: ConstraintSystem, b_from: np.ndarray, b_star: np.ndarray):
     """Limit of (a_plus det - a_minus)/b' along the line into the stratum."""
-    row = _bprime_row(sys.D)
     c0, c1, c2 = _det_along_line(b_from.ravel().tolist(), b_star.ravel().tolist())
-    bp_start = float(row @ b_from.ravel())
+    bp_start = _bprime(sys._rows[4], b_from.tolist())
     # numerator n(t) = a_plus det(t) - a_minus vanishes at t = 1; the ratio
     # against b'(t) = (1 - t) bp_start tends to -n'(1)/bp_start
     n_prime = sys.a_plus * (c1 + 2.0 * c2)
@@ -1288,14 +1251,13 @@ def _family_mids(sys: ConstraintSystem, desc, sign=0.0, count=16):
     key = 0 if not sign else (1 if sign > 0 else -1)
     if key in desc._mids:
         return desc._mids[key]
-    row = _bprime_row(sys.D) if sys.m == 2 else None
 
     def well_placed(cand):
         b, b_mat = cand
         b_mat = np.atleast_2d(np.asarray(b_mat, dtype=float))
         if b <= 0.1 or _det2(b_mat) <= 0.1:
             return None
-        if sign and float(row @ b_mat.ravel()) * sign <= 0:
+        if sign and _bprime(sys._rows[4], b_mat.tolist()) * sign <= 0:
             return None
         return sys.pack(b, b_mat)
 
@@ -1366,9 +1328,7 @@ def _route(sys: ConstraintSystem, desc: SolutionSetDescription, xp, xq, verdicts
         quad_leg = checker(lambda x0, x1: _ChartLeg(x0, x1, radial, x0, x1))
         return _bend_route(quad_leg, xp, xq, _family_mids(sys, desc))
     if kind == "hypersurface":
-        row = _bprime_row(sys.D)
-        sp = float(row @ sys.unpack(xp)[1].ravel())
-        sq = float(row @ sys.unpack(xq)[1].ravel())
+        sp, sq = (_bprime(sys._rows[4], sys.unpack(x)[1].tolist()) for x in (xp, xq))
         graph_leg = checker(lambda x0, x1: _graph_leg(sys, x0, x1))
         if sp * sq >= 0:  # one side of b' = 0, the side of an end where b' is not 0
             return _bend_route(graph_leg, xp, xq, _family_mids(sys, desc, sign=sp or sq))
@@ -1381,8 +1341,9 @@ def _route(sys: ConstraintSystem, desc: SolutionSetDescription, xp, xq, verdicts
         if "stratum" not in desc._mids:
             desc._mids["stratum"] = _stratum_candidates(sys)
         nearest = []  # the endpoints' own B, projected along b' onto the stratum
-        for x in (xp, xq):
-            m = x[1:] - float(row @ x[1:]) / float(row @ row) * row
+        row = _bprime_row(sys.D)
+        for x, bp in ((xp, sp), (xq, sq)):
+            m = x[1:] - bp / float(row @ row) * row
             if (b_star := _onto_stratum(sys, m.reshape(2, 2))) is not None:
                 nearest.append(b_star)
         for b_star in nearest + desc._mids["stratum"]:
@@ -1459,7 +1420,7 @@ def connect(p, q, sys: ConstraintSystem) -> ConnectPath:
     xp = _as_position(sys, p)
     xq = _as_position(sys, q)
     for name, x in (("start", xp), ("end", xq)):
-        if (why := _vertex_failure(sys, x)) is not None:
+        if (why := _vertex_failure(sys, x)[0]) is not None:
             return ConnectPath(
                 success=False,
                 points=(),
@@ -1502,7 +1463,7 @@ def connect(p, q, sys: ConstraintSystem) -> ConnectPath:
 
     def verified(cand):
         x = sys.pack(*cand)
-        return x if _vertex_failure(sys, x) is None else None
+        return x if _vertex_failure(sys, x)[0] is None else None
 
     nodes = [xp, xq] + _draws(desc.draw, 11, 20, 120, verified)
     routes = {(0, 1): None, (1, 0): None}  # legs from u to v; None when missing or dead

@@ -488,11 +488,6 @@ def float_nappe_sign(d_block, b_mat) -> int:
 # each point once into Python floats; the scalar forms must agree bit for bit
 
 
-def _row_norm(rows) -> float:
-    """Infinity norm (largest absolute row sum) of a matrix given as rows."""
-    return max([sum(map(abs, row)) for row in rows])
-
-
 def _affine_maxabs(row, cols, c, other) -> float:
     """max_j |(row @ M)_j + c * other_j| for M given by its columns."""
     return max([abs(sum(map(operator.mul, row, col)) + c * o) for col, o in zip(cols, other)])
@@ -511,23 +506,11 @@ def residual_pair_numpy(sys, b, b_mat):
         raise ValueError("B1 is singular")
     if abs(det) < 1e-14:
         raise ValueError("B2 is singular")
-    bi = 1.0 / b
     inv = [[1.0 / det]] if sys.m == 1 else [[s / det, -q / det], [-r / det, p / det]]
     pp, pm = sys.l_pp.tolist(), sys.l_pm.tolist()
     mp, mm = sys.l_mp.tolist(), sys.l_mm.tolist()
     cols, inv_cols = list(zip(*rows)), list(zip(*inv))
     r_first = max(_affine_maxabs(pp, cols, b, mm), _affine_maxabs(pm, inv_cols, -b, mp))
-    r_second = max(_affine_maxabs(mp, cols, -bi, pm), _affine_maxabs(mm, inv_cols, bi, pp))
-    kappa = 1.0
-    for v in (abs(b), abs(bi), _row_norm(rows), _row_norm(inv)):
-        kappa *= max(1.0, v)
-    threshold = 1e-9
-    if (r_first <= threshold) != (r_second <= threshold * kappa) and (
-        r_second <= threshold
-    ) != (r_first <= threshold * kappa):
-        raise RuntimeError(
-            f"antiholomorphy forms disagree: {r_first} vs {r_second} (kappa {kappa})"
-        )
     if sys.m == 1:
         return r_first, 0.0
     (d11, d12), (d21, d22) = sys.D.tolist()
@@ -535,28 +518,39 @@ def residual_pair_numpy(sys, b, b_mat):
     return r_first, abs(sys.a_minus - sys.a_plus * det + b * bprime)
 
 
-def vertex_failure_numpy(sys, x):
-    """solver_explorer._vertex_failure on the unpacked arrays, with b'(B) from D @ B."""
+def quadric_size(sys, b, b_mat) -> float:
+    """max(1, |a_plus det B|, |b b'(B)|), the size of the block quadric's terms,
+    with b'(B) from numpy's D @ B; 1 when m = 1."""
+    if sys.m == 1:
+        return 1.0
+    db = sys.D @ b_mat
+    return max(1.0, abs(sys.a_plus * se._det2(b_mat)), abs(b * float(db[0, 1] - db[1, 0])))
+
+
+def vertex_failure_numpy(sys, x, tol=se.PATH_TOL):
+    """solver_explorer._vertex_failure on the unpacked arrays."""
     b, b_mat = sys.unpack(x)
     det = se._det2(b_mat)
     if not (b > se.REGION_TOL and det > se.REGION_TOL):
-        return f"b = {b:.6g} and det B = {det:.6g} leave the region"
-    anti, quad = residual_pair_numpy(sys, b, b_mat)
-    if not anti <= se.PATH_TOL:
-        return f"antiholomorphy residual {anti:.6g} exceeds {se.PATH_TOL:g}"
-    size = 1.0 if sys.m == 1 else max(1.0, abs(sys.a_plus * det), abs(b * se._bprime(sys.D, b_mat)))
-    if not quad <= se.PATH_TOL * size:
-        return f"block quadric residual {quad:.6g} exceeds {se.PATH_TOL:g} x {size:.6g}"
-    return None
+        return f"b = {b:.6g} and det B = {det:.6g} leave the region", None
+    res = anti, quad = residual_pair_numpy(sys, b, b_mat)
+    if not anti <= tol:
+        return f"antiholomorphy residual {anti:.6g} exceeds {tol:g}", res
+    size = quadric_size(sys, b, b_mat)
+    if not quad <= tol * size:
+        return f"block quadric residual {quad:.6g} exceeds {tol:g} x {size:.6g}", res
+    return None, res
 
 
 def family_contains(desc, b, b_mat) -> bool:
-    """Whether (b, B) lies in the region and both residuals are within PATH_TOL."""
+    """Whether b, det B > REGION_TOL and both residuals are within PATH_TOL,
+    the block quadric one relative to quadric_size."""
     sys = desc.system
     b_mat = np.atleast_2d(np.asarray(b_mat, dtype=float))
-    if not sys.in_region(sys.pack(b, b_mat)):
+    if not (b > se.REGION_TOL and se._det2(b_mat) > se.REGION_TOL):
         return False
-    return max(residual_pair_numpy(sys, b, b_mat)) <= se.PATH_TOL
+    anti, quad = residual_pair_numpy(sys, b, b_mat)
+    return anti <= se.PATH_TOL and quad <= se.PATH_TOL * quadric_size(sys, b, b_mat)
 
 
 # ---------------------------------------------------------------------------
@@ -575,7 +569,7 @@ def eager_connect(p, q, sys) -> se.ConnectPath:
     """
     xp = se._as_position(sys, p)
     xq = se._as_position(sys, q)
-    if not (se._vertex_failure(sys, xp) is None and se._vertex_failure(sys, xq) is None):
+    if not (se._vertex_failure(sys, xp)[0] is None and se._vertex_failure(sys, xq)[0] is None):
         return se.ConnectPath(success=False, points=())
     if np.linalg.norm(xp - xq) <= 1e-12:
         return se.ConnectPath(success=True, points=(tuple(xp),))
@@ -601,7 +595,7 @@ def eager_connect(p, q, sys) -> se.ConnectPath:
         if len(nodes) >= 22:
             break
         cand = desc.draw(rng)
-        if cand is not None and se._vertex_failure(sys, sys.pack(*cand)) is None:
+        if cand is not None and se._vertex_failure(sys, sys.pack(*cand))[0] is None:
             nodes.append(sys.pack(*cand))
     n = len(nodes)
     legs_for = {}
