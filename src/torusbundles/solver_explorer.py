@@ -1031,9 +1031,10 @@ def _vertex_failure(sys: ConstraintSystem, x, tol=PATH_TOL):
 
     It accepts path vertices (tol = PATH_TOL) and witnesses (WITNESS_TOL).
     x is a packed position, as an array or as its list of floats.  First
-    the region test b, det B > REGION_TOL, then one residual_pair call:
-    the antiholomorphy residual is held to tol, the block quadric one to
-    tol times max(1, |a_plus det B|, |b b'(B)|), the size of its terms: on
+    the region test b, det B > REGION_TOL on the once-rounded det B, which
+    residual_pair refuses below 1e-14, so a point that passes never makes
+    it raise.  Then one residual_pair call: the antiholomorphy residual is
+    held to tol, the block quadric one to tol times max(1, |a_plus det B|, |b b'(B)|), the size of its terms: on
     {det B = 1e10} rounding alone leaves about 1e-6.  why names the failed
     check with its values; residuals is None when the region test fails.
     """
@@ -1042,7 +1043,7 @@ def _vertex_failure(sys: ConstraintSystem, x, tol=PATH_TOL):
         det, rows = rest[0], [rest]
     else:
         p, q, r, s = rest
-        det, rows = p * s - q * r, [[p, q], [r, s]]
+        det, rows = _det2_rounded(p, q, r, s), [[p, q], [r, s]]
     if not (b > REGION_TOL and det > REGION_TOL):
         return f"b = {b:.6g} and det B = {det:.6g} leave the region", None
     res = anti, quad = sys.residual_pair(b, rows)

@@ -518,19 +518,25 @@ def residual_pair_numpy(sys, b, b_mat):
     return r_first, abs(sys.a_minus - sys.a_plus * det + b * bprime)
 
 
+def _det_rounded(b_mat) -> float:
+    """det B, once rounded from the exact entries when B is 2 x 2."""
+    v = np.ravel(b_mat).tolist()
+    return v[0] if len(v) == 1 else se._det2_rounded(*v)
+
+
 def quadric_size(sys, b, b_mat) -> float:
     """max(1, |a_plus det B|, |b b'(B)|), the size of the block quadric's terms,
     with b'(B) from numpy's D @ B; 1 when m = 1."""
     if sys.m == 1:
         return 1.0
     db = sys.D @ b_mat
-    return max(1.0, abs(sys.a_plus * se._det2(b_mat)), abs(b * float(db[0, 1] - db[1, 0])))
+    return max(1.0, abs(sys.a_plus * _det_rounded(b_mat)), abs(b * float(db[0, 1] - db[1, 0])))
 
 
 def vertex_failure_numpy(sys, x, tol=se.PATH_TOL):
     """solver_explorer._vertex_failure on the unpacked arrays."""
     b, b_mat = sys.unpack(x)
-    det = se._det2(b_mat)
+    det = _det_rounded(b_mat)
     if not (b > se.REGION_TOL and det > se.REGION_TOL):
         return f"b = {b:.6g} and det B = {det:.6g} leave the region", None
     res = anti, quad = residual_pair_numpy(sys, b, b_mat)
@@ -544,13 +550,12 @@ def vertex_failure_numpy(sys, x, tol=se.PATH_TOL):
 
 def family_contains(desc, b, b_mat) -> bool:
     """Whether b, det B > REGION_TOL and both residuals are within PATH_TOL,
-    the block quadric one relative to quadric_size."""
+    in absolute terms: stricter than _vertex_failure's quadric scale."""
     sys = desc.system
     b_mat = np.atleast_2d(np.asarray(b_mat, dtype=float))
     if not (b > se.REGION_TOL and se._det2(b_mat) > se.REGION_TOL):
         return False
-    anti, quad = residual_pair_numpy(sys, b, b_mat)
-    return anti <= se.PATH_TOL and quad <= se.PATH_TOL * quadric_size(sys, b, b_mat)
+    return max(residual_pair_numpy(sys, b, b_mat)) <= se.PATH_TOL
 
 
 # ---------------------------------------------------------------------------

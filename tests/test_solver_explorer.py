@@ -83,8 +83,8 @@ def check_witnesses(desc):
     assert desc.witnesses, "nonempty description carries witnesses"
     for w in desc.witnesses:
         anti, quad = w.residuals
+        assert w.b > se.REGION_TOL and se._det2(w.b_matrix) > se.REGION_TOL
         assert anti <= 1e-9 and quad <= 1e-9 * quadric_size(desc.system, w.b, w.b_matrix)
-        assert family_contains(desc, w.b, w.b_matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -505,6 +505,18 @@ def test_residual_pair_singular_blocks_raise():
             sys.residual_pair(1.0, singular)
         with pytest.raises(ValueError, match="B2 is singular"):
             CompatibleStructure(B1=[[1.0]], B2=singular)
+
+
+def test_point_check_rejects_a_block_that_residual_pair_refuses():
+    # p s - q r rounds to 2^-29 > REGION_TOL, yet the exact det B is 2^-51
+    p, q, r, s = 3.479820653796196, 0.48702676594257355, 27623265.95844774, 3866081.394119546
+    assert p * s - q * r > se.REGION_TOL and abs(se._det2_rounded(p, q, r, s)) < 1e-14
+    sys = three(1.0, 2.0, np.eye(2), ZL, ZL, ZL, ZL)
+    with pytest.raises(ValueError, match="B2 is singular"):
+        sys.residual_pair(1.0, [[p, q], [r, s]])
+    for tol in (PATH_TOL, WITNESS_TOL):
+        why, res = se._vertex_failure(sys, [1.0, p, q, r, s], tol)
+        assert why.endswith("leave the region") and res is None
 
 
 def _outcome(fn, *args):
